@@ -28,7 +28,6 @@ from clipreg.adversary import (
     DictSpec,
     Budget,
     AdversaryResult,
-    correlation,
     ascend,
     sigma_dr,
     invisibility_audit,
@@ -48,7 +47,7 @@ __all__ = [
     "beta", "eval_unit", "eval_net", "pad_depth", "compose_parallel", "zero_net",
     "Quadrature", "FunctionOracle", "build_quadrature", "inner",
     "l2_norm_sq", "sigma_l1", "oracle_from_net", "oracle_from_values",
-    "DictSpec", "Budget", "AdversaryResult", "correlation", "ascend",
+    "DictSpec", "Budget", "AdversaryResult", "ascend",
     "sigma_dr", "invisibility_audit",
     "StagePick", "EnergyTrace", "DecompositionReport",
     "stage_solve", "decompose", "certify_split", "m_budget_for",

@@ -9,20 +9,22 @@ never "invisible".
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet, pad_depth, net_to_dict
-from clipreg.measure import FunctionOracle, Quadrature, inner, oracle_from_net, oracle_from_values
+from clipreg.netcore import (ClipregError, DomainSpec, Layer, RepCert, RepNet, net_to_dict,
+                             pad_depth)
+from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 
 # Restarts are processed in fixed-size chunks so the arithmetic (and hence the
 # result bytes) are identical for any worker count.
 _CHUNK = 64
 
 
-class AdversaryError(ValueError):
+class AdversaryError(ClipregError):
     pass
 
 
@@ -35,8 +37,10 @@ class DictSpec:
     domain: DomainSpec
 
     def __post_init__(self):
-        if self.d < 1 or self.r < 0:
-            raise AdversaryError(f"invalid dictionary spec ({self.d}|{self.r})")
+        if self.d < 1:
+            raise AdversaryError(f"dictionary width d must be >= 1, got {self.d}", "d")
+        if self.r < 0:
+            raise AdversaryError(f"dictionary depth r must be >= 0, got {self.r}", "r")
 
     @property
     def cert(self) -> RepCert:
@@ -55,8 +59,10 @@ class Budget:
     decay: float = 0.97
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1 or self.step0 <= 0 or not (0 < self.decay <= 1):
-            raise AdversaryError(f"invalid budget {self}")
+        for param, ok in (("restarts", self.restarts >= 1), ("iterations", self.iterations >= 1),
+                          ("step0", 0 < self.step0 < math.inf), ("decay", 0 < self.decay <= 1)):
+            if not ok:
+                raise AdversaryError(f"{param} out of range in {self}", param)
 
     def to_dict(self) -> dict:
         return {"restarts": self.restarts, "iterations": self.iterations,
@@ -82,11 +88,6 @@ class AdversaryResult:
             "seed": self.seed,
             "budget": self.budget.to_dict(),
         }
-
-
-def correlation(quad: Quadrature, h: RepNet, target: FunctionOracle) -> float:
-    """<h, target> under the shared quadrature."""
-    return inner(quad, oracle_from_net(h), target)
 
 
 def _init_params(spec: DictSpec, restart: int, seed: int):

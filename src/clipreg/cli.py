@@ -12,12 +12,12 @@ import json
 import sys
 from dataclasses import replace
 
-from clipreg.config import ConfigError, RunConfig, load_config
-from clipreg.netcore import DomainSpec, net_to_dict
-from clipreg.measure import build_quadrature
-from clipreg.adversary import Budget, DictSpec, ascend
-from clipreg.decomposer import certify_split, decompose, report_from_dict
-from clipreg.zoo import ZOO, ZooError, zoo
+from clipreg.config import ConfigError, RunConfig, load_config, owned
+from clipreg.netcore import DomainSpec
+from clipreg.measure import MeasureError, build_quadrature
+from clipreg.adversary import ascend
+from clipreg.decomposer import certify_split, decompose
+from clipreg.zoo import ZOO, zoo
 
 TRACE_HEADER = ["k", "t_after", "lambda", "gain"]
 SWEEP_HEADER = ["n", "m_prime", "residual_l2_sq", "audit_value"]
@@ -43,11 +43,10 @@ def _write_trace_csv(path, report) -> None:
 
 def _setup(cfg: RunConfig, n_override: int | None = None):
     domain = cfg.domain if n_override is None else DomainSpec(n=n_override, q=cfg.domain.q)
-    quad = build_quadrature(domain, cfg.quadrature.scheme, cfg.quadrature.size,
-                            cfg.quadrature.seed)
-    target = zoo(cfg.target.name, cfg.target.params, domain)
-    spec = DictSpec(cfg.dict_d, cfg.dict_r, domain)
-    return domain, quad, target, spec
+    quad = owned("quadrature.", build_quadrature, domain, cfg.quadrature.scheme,
+                 cfg.quadrature.size, cfg.quadrature.seed)
+    target = owned("target.", zoo, cfg.target.name, cfg.target.params, domain)
+    return domain, quad, target, replace(cfg.dict_spec, domain=domain)
 
 
 def run_decompose(cfg: RunConfig, threads: int = 1, n_override: int | None = None):
@@ -55,22 +54,23 @@ def run_decompose(cfg: RunConfig, threads: int = 1, n_override: int | None = Non
     echo = cfg.echo()
     if n_override is not None:
         echo["domain"]["n"] = n_override
-    return quad, target, decompose(
-        quad, spec, target, cfg.epsilon, cfg.solver.budget(), cfg.solver.seed,
+    return quad, target, owned(
+        "", decompose, quad, spec, target, cfg.epsilon, cfg.budget, cfg.solver_seed,
         stage_dict=cfg.stage_dict, threads=threads, config_echo=echo)
 
 
 def cmd_decompose(args) -> int:
     cfg = load_config(args.config)
     quad, target, report = run_decompose(cfg, threads=args.threads)
-    _write_json(cfg.output.report, report.to_dict())
+    written = report.to_dict()
+    _write_json(cfg.output.report, written)
     _write_trace_csv(cfg.output.trace, report)
     _write_json(cfg.output.witness, report.audit["result"].to_dict())
     print(f"wrote {cfg.output.report}, {cfg.output.trace}, {cfg.output.witness} "
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
     if args.verify:
-        verdict = certify_split(report, quad, target)
+        verdict = certify_split(written, quad, target)
         if not verdict["ok"]:
             for item in verdict["details"]:
                 if not item["ok"]:
@@ -83,8 +83,7 @@ def cmd_decompose(args) -> int:
 def cmd_adversary(args) -> int:
     cfg = load_config(args.config)
     domain, quad, target, spec = _setup(cfg)
-    result = ascend(quad, spec, target, cfg.solver.budget(), cfg.solver.seed,
-                    threads=args.threads)
+    result = ascend(quad, spec, target, cfg.budget, cfg.solver_seed, threads=args.threads)
     _write_json(cfg.output.report, result.to_dict())
     print(f"wrote {cfg.output.report} (value={result.value:.6g}, lower bound)")
     return 0
@@ -124,10 +123,10 @@ def cmd_zoo(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     with open(args.report) as fh:
-        report = report_from_dict(json.load(fh))
-    n = report.config_echo.get("domain", {}).get("n")
+        report = json.load(fh)
+    n = report["config_echo"].get("domain", {}).get("n")
     _, quad, target, _ = _setup(cfg, n_override=n)
-    verdict = certify_split(report, quad, target, slack=args.slack)
+    verdict = certify_split(report, quad, target)
     for item in verdict["details"]:
         status = "ok" if item["ok"] else "FAILED"
         print(f"{item['check']}: {status}")
@@ -168,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify an emitted report")
     p.add_argument("--report", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--slack", type=float, default=0.05)
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -177,10 +175,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ZooError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, MeasureError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

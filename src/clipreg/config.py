@@ -1,13 +1,20 @@
-"""Run configuration: strict JSON ingestion with unknown-field rejection."""
+"""Run configuration: strict JSON ingestion with unknown-field rejection.
+
+This module checks the JSON shape of a config: its keys and the JSON type of
+each value.  Every range is checked by the type or function that owns the
+value; ``owned`` turns that owner's rejection into a ConfigError naming the
+field.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from clipreg.netcore import DomainSpec
-from clipreg.adversary import Budget
-from clipreg.zoo import ZOO
+from clipreg.netcore import ClipregError, DomainSpec
+from clipreg.adversary import Budget, DictSpec
+from clipreg.decomposer import m_budget_for
 
 
 class ConfigError(ValueError):
@@ -16,15 +23,67 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
 
 
-def _take(obj: dict, where: str, required: set, optional: set = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "expected an object")
-    unknown = set(obj) - required - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}.{sorted(unknown)[0]}", "unknown field")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{where}.{sorted(missing)[0]}", "missing required field")
+def owned(prefix: str, build, *args, **kwargs):
+    """Call `build`, the owner of some config values; a range check it fails
+    becomes a ConfigError for the field `prefix` + the parameter it names."""
+    try:
+        return build(*args, **kwargs)
+    except ClipregError as e:
+        if e.param is None:
+            raise
+        raise ConfigError(prefix + e.param, str(e)) from e
+
+
+def _kind(what: str, test):
+    def check(value, where):
+        if not test(value):
+            raise ConfigError(where, f"must be {what}, got {value!r}")
+    return check
+
+
+_INT = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUM = _kind("a finite number", lambda v: isinstance(v, (int, float))
+             and not isinstance(v, bool) and math.isfinite(v))
+_STR = _kind("a string", lambda v: isinstance(v, str))
+
+
+def _object(kinds: dict, optional=frozenset()):
+    """Check an object's keys, then the JSON type of each value."""
+    def check(obj, where):
+        def name(key):
+            return f"{where}.{key}" if where else key
+
+        if not isinstance(obj, dict):
+            raise ConfigError(where or "config", "expected an object")
+        unknown = set(obj) - set(kinds)
+        if unknown:
+            raise ConfigError(name(sorted(unknown)[0]), "unknown field")
+        missing = set(kinds) - set(optional) - set(obj)
+        if missing:
+            raise ConfigError(name(sorted(missing)[0]), "missing required field")
+        for key, kind in kinds.items():
+            if key in obj:
+                kind(obj[key], name(key))
+    return check
+
+
+def _numbers(obj, where):
+    """An object of target parameters: any keys, finite numbers as values."""
+    _object(dict.fromkeys(obj, _NUM) if isinstance(obj, dict) else {})(obj, where)
+
+
+_OUTPUTS = ("report", "trace", "witness")
+_SHAPE = _object({
+    "domain": _object({"n": _INT, "q": _NUM}),
+    "dict": _object({"d": _INT, "r": _INT}),
+    "epsilon": _NUM,
+    "quadrature": _object({"scheme": _STR, "size": _INT, "seed": _INT}),
+    "solver": _object({"restarts": _INT, "iterations": _INT, "step0": _NUM,
+                       "decay": _NUM, "seed": _INT}),
+    "target": _object({"name": _STR, "params": _numbers}, {"params"}),
+    "stage_dict": _STR,
+    "output": _object(dict.fromkeys(_OUTPUTS, _STR), set(_OUTPUTS)),
+}, {"stage_dict", "output"})
 
 
 @dataclass(frozen=True)
@@ -32,19 +91,6 @@ class QuadratureSpec:
     scheme: str
     size: int
     seed: int
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    restarts: int
-    iterations: int
-    step0: float
-    decay: float
-    seed: int
-
-    def budget(self) -> Budget:
-        return Budget(restarts=self.restarts, iterations=self.iterations,
-                      step0=self.step0, decay=self.decay)
 
 
 @dataclass(frozen=True)
@@ -63,11 +109,11 @@ class OutputSpec:
 @dataclass(frozen=True)
 class RunConfig:
     domain: DomainSpec
-    dict_d: int
-    dict_r: int
+    dict_spec: DictSpec
     epsilon: float
     quadrature: QuadratureSpec
-    solver: SolverSpec
+    budget: Budget
+    solver_seed: int
     target: TargetSpec
     stage_dict: str = "fixed"
     output: OutputSpec = OutputSpec()
@@ -75,89 +121,39 @@ class RunConfig:
     def echo(self) -> dict:
         return {
             "domain": {"n": self.domain.n, "q": self.domain.q},
-            "dict": {"d": self.dict_d, "r": self.dict_r},
+            "dict": {"d": self.dict_spec.d, "r": self.dict_spec.r},
             "epsilon": self.epsilon,
             "quadrature": {"scheme": self.quadrature.scheme,
                            "size": self.quadrature.size,
                            "seed": self.quadrature.seed},
-            "solver": {"restarts": self.solver.restarts,
-                       "iterations": self.solver.iterations,
-                       "step0": self.solver.step0,
-                       "decay": self.solver.decay,
-                       "seed": self.solver.seed},
+            "solver": {**self.budget.to_dict(), "seed": self.solver_seed},
             "target": {"name": self.target.name, "params": dict(self.target.params)},
             "stage_dict": self.stage_dict,
         }
 
 
 def parse_config(obj: dict) -> RunConfig:
-    _take(obj, "config", {"domain", "dict", "epsilon", "quadrature", "solver", "target"},
-          {"stage_dict", "output"})
+    """Check the shape of a parsed config and build the objects it describes.
 
-    dom = obj["domain"]
-    _take(dom, "domain", {"n", "q"})
-    if not isinstance(dom["n"], int) or dom["n"] < 1:
-        raise ConfigError("domain.n", f"must be a positive integer, got {dom['n']!r}")
-    if not isinstance(dom["q"], (int, float)) or dom["q"] < 1:
-        raise ConfigError("domain.q", f"must be a real >= 1, got {dom['q']!r}")
-    domain = DomainSpec(n=dom["n"], q=float(dom["q"]))
-
-    dic = obj["dict"]
-    _take(dic, "dict", {"d", "r"})
-    if not isinstance(dic["d"], int) or dic["d"] < 1:
-        raise ConfigError("dict.d", f"must be a positive integer, got {dic['d']!r}")
-    if not isinstance(dic["r"], int) or dic["r"] < 0:
-        raise ConfigError("dict.r", f"must be a non-negative integer, got {dic['r']!r}")
-
-    eps = obj["epsilon"]
-    if not isinstance(eps, (int, float)) or not (0 < eps <= 1):
-        raise ConfigError("epsilon", f"must lie in (0, 1], got {eps!r}")
-
-    qd = obj["quadrature"]
-    _take(qd, "quadrature", {"scheme", "size", "seed"})
-    if qd["scheme"] not in ("tensor-grid", "low-discrepancy", "seeded-uniform"):
-        raise ConfigError("quadrature.scheme", f"unknown scheme {qd['scheme']!r}")
-    if not isinstance(qd["size"], int) or qd["size"] < 1:
-        raise ConfigError("quadrature.size", f"must be a positive integer, got {qd['size']!r}")
-    if not isinstance(qd["seed"], int):
-        raise ConfigError("quadrature.seed", "seed is mandatory (no wall-clock seeding)")
-    quadrature = QuadratureSpec(scheme=qd["scheme"], size=qd["size"], seed=qd["seed"])
-
-    sv = obj["solver"]
-    _take(sv, "solver", {"restarts", "iterations", "step0", "decay", "seed"})
-    for key in ("restarts", "iterations", "seed"):
-        if not isinstance(sv[key], int):
-            raise ConfigError(f"solver.{key}", f"must be an integer, got {sv[key]!r}")
-    if sv["restarts"] < 1:
-        raise ConfigError("solver.restarts", "must be >= 1")
-    if sv["iterations"] < 1:
-        raise ConfigError("solver.iterations", "must be >= 1")
-    if not isinstance(sv["step0"], (int, float)) or sv["step0"] <= 0:
-        raise ConfigError("solver.step0", f"must be > 0, got {sv['step0']!r}")
-    if not isinstance(sv["decay"], (int, float)) or not (0 < sv["decay"] <= 1):
-        raise ConfigError("solver.decay", f"must lie in (0, 1], got {sv['decay']!r}")
-    solver = SolverSpec(restarts=sv["restarts"], iterations=sv["iterations"],
-                        step0=float(sv["step0"]), decay=float(sv["decay"]), seed=sv["seed"])
-
-    tg = obj["target"]
-    _take(tg, "target", {"name"}, {"params"})
-    if tg["name"] not in ZOO:
-        raise ConfigError("target.name", f"unknown target {tg['name']!r}; known: {sorted(ZOO)}")
-    target = TargetSpec(name=tg["name"], params=dict(tg.get("params", {})))
-
-    stage_dict = obj.get("stage_dict", "fixed")
-    if stage_dict not in ("fixed", "growing"):
-        raise ConfigError("stage_dict", f"must be 'fixed' or 'growing', got {stage_dict!r}")
-
-    out = obj.get("output", {})
-    _take(out, "output", set(), {"report", "trace", "witness"})
-    output = OutputSpec(report=out.get("report", "report.json"),
-                        trace=out.get("trace", "trace.csv"),
-                        witness=out.get("witness", "witness.json"))
-
-    return RunConfig(domain=domain, dict_d=dic["d"], dict_r=dic["r"], epsilon=float(eps),
-                     quadrature=quadrature, solver=solver, target=target,
-                     stage_dict=stage_dict, output=output)
+    The quadrature scheme and size, the target and the stage dictionary are
+    checked by their owners when the run builds them (``owned`` in the CLI).
+    """
+    _SHAPE(obj, "")
+    dom, dic, sv = obj["domain"], obj["dict"], obj["solver"]
+    domain = owned("domain.", DomainSpec, dom["n"], float(dom["q"]))
+    owned("", m_budget_for, obj["epsilon"])
+    return RunConfig(
+        domain=domain,
+        dict_spec=owned("dict.", DictSpec, dic["d"], dic["r"], domain),
+        epsilon=float(obj["epsilon"]),
+        quadrature=QuadratureSpec(**obj["quadrature"]),
+        budget=owned("solver.", Budget, sv["restarts"], sv["iterations"],
+                     float(sv["step0"]), float(sv["decay"])),
+        solver_seed=sv["seed"],
+        target=TargetSpec(obj["target"]["name"], dict(obj["target"].get("params", {}))),
+        stage_dict=obj.get("stage_dict", "fixed"),
+        output=OutputSpec(**obj.get("output", {})),
+    )
 
 
 def load_config(path) -> RunConfig:

@@ -16,21 +16,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clipreg.netcore import RepCert, RepNet, compose_parallel, net_to_dict, zero_net
+from clipreg.netcore import (ClipregError, RepCert, RepNet, compose_parallel, net_from_dict,
+                             net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_net, oracle_from_values
 from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element, invisibility_audit
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
+# certify_split accepts an audit value up to epsilon + this slack
+_AUDIT_SLACK = 0.05
 
 
-class DecomposeError(ValueError):
+class DecomposeError(ClipregError):
     pass
+
+
+def _non_increasing(levels) -> bool:
+    return all(a >= b for a, b in zip(levels, levels[1:])) and levels[-1] >= -1e-12
 
 
 def m_budget_for(epsilon: float) -> int:
     if not (0 < epsilon <= 1):
-        raise DecomposeError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise DecomposeError(f"epsilon must lie in (0, 1], got {epsilon}", "epsilon")
     return math.ceil(1.0 / epsilon ** 2)
 
 
@@ -56,8 +63,7 @@ class EnergyTrace:
         return [self.t0] + [p.t_after for p in self.picks]
 
     def is_monotone(self) -> bool:
-        lv = self.levels()
-        return all(a >= b for a, b in zip(lv, lv[1:])) and lv[-1] >= -1e-12
+        return _non_increasing(self.levels())
 
     def to_dict(self) -> dict:
         return {"t0": self.t0, "picks": [p.to_dict() for p in self.picks]}
@@ -137,15 +143,15 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
 
 def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: float,
               budget: Budget, seed: int, stage_dict: str = "fixed",
-              threads: int = 1, audit_budget: Budget | None = None,
-              config_echo: dict | None = None) -> DecompositionReport:
+              threads: int = 1, config_echo: dict | None = None) -> DecompositionReport:
     """Run the energy-increment loop and audit the residual.
 
     stage_dict="fixed" searches F(d,r) at every stage; "growing" expands the
     dictionary to (2^{k-1} d | r+k-1) at stage k, as in the existence proof.
     """
     if stage_dict not in ("fixed", "growing"):
-        raise DecomposeError(f"stage_dict must be 'fixed' or 'growing', got {stage_dict!r}")
+        raise DecomposeError(f"stage_dict must be 'fixed' or 'growing', got {stage_dict!r}",
+                             "stage_dict")
     m_budget = m_budget_for(epsilon)
     eps_sq = epsilon ** 2
 
@@ -189,11 +195,9 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
     residual_l2_sq = float(np.dot(quad.weights, diff * diff))
     residual_l1 = float(np.dot(quad.weights, np.abs(diff)))
 
-    if audit_budget is None:
-        audit_budget = budget
     audit = invisibility_audit(
         quad, spec, oracle_from_values(quad, diff, "f-g"), epsilon,
-        audit_budget, seed + _AUDIT_SEED_OFFSET, threads=threads)
+        budget, seed + _AUDIT_SEED_OFFSET, threads=threads)
 
     conservative = RepCert(2 ** m_prime * spec.d, spec.r + m_prime)
     return DecompositionReport(
@@ -213,78 +217,46 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
     )
 
 
-def report_from_dict(obj: dict) -> DecompositionReport:
-    from clipreg.netcore import net_from_dict
-    from clipreg.adversary import AdversaryResult
-
-    picks = tuple(
-        StagePick(k=p["k"], element=net_from_dict(p["element"]), lam=p["lambda"],
-                  gain=p["gain"], t_after=p["t_after"])
-        for p in obj["trace"]["picks"])
-    ares = obj["audit"]["result"]
-    audit_result = AdversaryResult(
-        value=ares["value"],
-        witness=net_from_dict(ares["witness"]),
-        restarts_run=ares["restarts_run"],
-        per_restart_values=tuple(ares["per_restart_values"]),
-        seed=ares["seed"],
-        budget=Budget(**ares["budget"]),
-    )
-    return DecompositionReport(
-        g=net_from_dict(obj["g"]),
-        m_prime=obj["m_prime"],
-        m_budget=obj["m_budget"],
-        epsilon=obj["epsilon"],
-        trace=EnergyTrace(t0=obj["trace"]["t0"], picks=picks),
-        residual_l2_sq=obj["residual_l2_sq"],
-        residual_l1=obj["residual_l1"],
-        audit={"invisible_up_to_budget": obj["audit"]["invisible_up_to_budget"],
-               "note": obj["audit"]["note"], "result": audit_result},
-        constructive_cert=RepCert(**obj["constructive_cert"]),
-        conservative_cert=RepCert(**obj["conservative_cert"]),
-        budget_exhausted=obj["budget_exhausted"],
-        seed=obj["seed"],
-        config_echo=obj["config_echo"],
-    )
-
-
-def certify_split(report: DecompositionReport, quad: Quadrature, f: FunctionOracle,
-                  slack: float = 0.05) -> dict:
-    """Pure re-verification of a report: f = g + (f-g) at every node, stage
-    bound, monotone trace, certificate arithmetic, and the audit threshold."""
+def certify_split(report: dict, quad: Quadrature, f: FunctionOracle) -> dict:
+    """Pure re-verification of a report in its written form (``to_dict()`` or
+    the parsed ``report.json``): f = g + (f-g) at every node, stage bound,
+    monotone trace, certificate arithmetic, and the audit threshold."""
     checks = []
 
-    gvals = report.g.eval_batch(quad.nodes)
+    g = net_from_dict(report["g"])
+    gvals = g.eval_batch(quad.nodes)
     fvals = f.values(quad)
     diff = fvals - gvals
     split_exact = bool(np.max(np.abs(fvals - (gvals + diff))) <= 1e-12)
     checks.append(("pointwise_split", split_exact, "f equals g + (f-g) at every node"))
 
     res_sq = float(np.dot(quad.weights, diff * diff))
-    checks.append(("residual_l2_sq", abs(res_sq - report.residual_l2_sq) <= 1e-10,
-                   f"recomputed {res_sq} vs reported {report.residual_l2_sq}"))
+    checks.append(("residual_l2_sq", abs(res_sq - report["residual_l2_sq"]) <= 1e-10,
+                   f"recomputed {res_sq} vs reported {report['residual_l2_sq']}"))
 
-    checks.append(("stage_bound", report.m_prime <= report.m_budget,
-                   f"m'={report.m_prime} vs budget {report.m_budget}"))
+    checks.append(("stage_bound", report["m_prime"] <= report["m_budget"],
+                   f"m'={report['m_prime']} vs budget {report['m_budget']}"))
 
-    eps_sq = report.epsilon ** 2
-    checks.append(("trace_monotone", report.trace.is_monotone(), "energy levels non-increasing"))
-    checks.append(("gains_exceed_eps_sq",
-                   all(p.gain > eps_sq for p in report.trace.picks),
+    epsilon = report["epsilon"]
+    t0, picks = report["trace"]["t0"], report["trace"]["picks"]
+    checks.append(("trace_monotone", _non_increasing([t0] + [p["t_after"] for p in picks]),
+                   "energy levels non-increasing"))
+    checks.append(("gains_exceed_eps_sq", all(p["gain"] > epsilon ** 2 for p in picks),
                    "every accepted gain > eps^2"))
-    checks.append(("trace_t0", report.trace.t0 <= 1.0 + 1e-9, f"t0={report.trace.t0}"))
+    checks.append(("trace_t0", t0 <= 1.0 + 1e-9, f"t0={t0}"))
 
-    checks.append(("cert_dominance",
-                   report.conservative_cert.dominates(report.constructive_cert),
-                   f"{report.conservative_cert} dominates {report.constructive_cert}"))
-    checks.append(("cert_constructive", report.g.satisfies(report.constructive_cert),
+    conservative = RepCert(**report["conservative_cert"])
+    constructive = RepCert(**report["constructive_cert"])
+    checks.append(("cert_dominance", conservative.dominates(constructive),
+                   f"{conservative} dominates {constructive}"))
+    checks.append(("cert_constructive", g.satisfies(constructive),
                    "assembled net satisfies its constructive certificate"))
 
-    audit_value = report.audit["result"].value
-    ok_audit = audit_value <= report.epsilon + slack
-    detail = f"audit value {audit_value} vs eps+slack {report.epsilon + slack}"
+    audit = report["audit"]["result"]
+    ok_audit = audit["value"] <= epsilon + _AUDIT_SLACK
+    detail = f"audit value {audit['value']} vs eps+slack {epsilon + _AUDIT_SLACK}"
     if not ok_audit:
-        detail += "; witness: " + str(net_to_dict(report.audit["result"].witness))
+        detail += "; witness: " + str(audit["witness"])
     checks.append(("audit_threshold", ok_audit, detail))
 
     return {"ok": all(ok for _, ok, _ in checks),

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from clipreg.netcore import DomainSpec, RepNet
+from clipreg.netcore import ClipregError, DomainSpec, RepNet
 
 SCHEMES = ("tensor-grid", "low-discrepancy", "seeded-uniform")
 _TENSOR_GRID_MAX_DIM = 4
 
 
-class MeasureError(ValueError):
+class MeasureError(ClipregError):
     pass
 
 
@@ -65,11 +65,11 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
     seeded-uniform: pseudo-random uniform points, equal weights.
     """
     if size < 1:
-        raise MeasureError("size must be >= 1")
+        raise MeasureError(f"size must be >= 1, got {size}", "size")
     if scheme == "tensor-grid":
         if spec.n > _TENSOR_GRID_MAX_DIM:
-            raise MeasureError(
-                f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} (node count explosion)")
+            raise MeasureError(f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} "
+                               "(node count explosion)", "scheme")
         x, w = np.polynomial.legendre.leggauss(size)
         w = w / 2.0  # normalize per axis: weights on [-1,1] sum to 2
         axes = np.meshgrid(*([x] * spec.n), indexing="ij")
@@ -90,14 +90,15 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
         rng = np.random.default_rng(seed)
         nodes = rng.uniform(-1.0, 1.0, size=(size, spec.n))
         return Quadrature(nodes, np.full(size, 1.0 / size), "seeded-uniform", seed)
-    raise MeasureError(f"unknown quadrature scheme {scheme!r}; expected one of {SCHEMES}")
+    raise MeasureError(f"unknown quadrature scheme {scheme!r}; expected one of {SCHEMES}", "scheme")
 
 
 class FunctionOracle:
     """A function on the hypercube, evaluated batch-wise and cached per quadrature.
 
     Values are expected in [-1,1]; out-of-range values are clamped and counted
-    (set clamp=False for differences, which live in [-2,2]).
+    (set clamp=False for differences, which live in [-2,2]).  A NaN or
+    infinite value is an error.
     """
 
     def __init__(self, fn, descriptor: str = "", clamp: bool = True):
@@ -109,6 +110,8 @@ class FunctionOracle:
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         vals = np.asarray(self._fn(np.asarray(X, dtype=np.float64)), dtype=np.float64)
+        if not np.all(np.isfinite(vals)):
+            raise MeasureError(f"function {self.descriptor!r} has a non-finite value")
         if self.clamp:
             over = np.abs(vals) > 1.0 + 1e-12
             if np.any(over):

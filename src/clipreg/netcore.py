@@ -7,7 +7,6 @@ immutable after construction; evaluation is pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +15,16 @@ import numpy as np
 _WEIGHT_TOL = 1e-12
 
 
-class NetError(ValueError):
+class ClipregError(ValueError):
+    """Base of clipreg's errors.  ``param`` names the argument that a range
+    check rejected, so that a caller can point at the input it came from."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
+
+
+class NetError(ClipregError):
     pass
 
 
@@ -29,10 +37,10 @@ class DomainSpec:
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
-            raise NetError(f"input dimension n must be a positive integer, got {self.n}")
+            raise NetError(f"input dimension n must be a positive integer, got {self.n}", "n")
         if not (math.isfinite(self.q) and self.q >= 1.0):
             # q >= 1 is load-bearing: the stopping argument needs eps/||h|| <= q.
-            raise NetError(f"weight bound q must be >= 1, got {self.q}")
+            raise NetError(f"weight bound q must be >= 1, got {self.q}", "q")
 
     def bias_bound(self, width: int) -> float:
         # |<w, xi0>| <= width*q on the hypercube, so |c| > width*q + 1 is
@@ -286,10 +294,3 @@ def net_from_dict(obj: dict) -> RepNet:
         layers.append(Layer(W, b))
     return RepNet(domain, tuple(layers))
 
-
-def net_to_json(net: RepNet) -> str:
-    return json.dumps(net_to_dict(net))
-
-
-def net_from_json(s: str) -> RepNet:
-    return net_from_dict(json.loads(s))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from clipreg.netcore import DomainSpec, Layer, RepNet
+from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet
 from clipreg.measure import FunctionOracle
 
 
-class ZooError(ValueError):
+class ZooError(ClipregError):
     pass
 
 
@@ -27,7 +27,8 @@ def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
 def _check_params(name, params, allowed):
     unknown = set(params) - set(allowed)
     if unknown:
-        raise ZooError(f"target {name!r}: unknown parameter(s) {sorted(unknown)}")
+        raise ZooError(f"target {name!r}: unknown parameter(s) {sorted(unknown)}",
+                       f"params.{sorted(unknown)[0]}")
 
 
 def _linear(domain, params):
@@ -44,7 +45,7 @@ def _step(domain, params):
     _check_params("step", params, {"theta"})
     theta = float(params.get("theta", 0.0))
     if not -1.0 <= theta <= 1.0:
-        raise ZooError(f"target 'step': theta must lie in [-1,1], got {theta}")
+        raise ZooError(f"target 'step': theta must lie in [-1,1], got {theta}", "params.theta")
     return FunctionOracle(lambda X: np.where(X[:, 0] >= theta, 1.0, -1.0),
                           f"step(theta={theta})", clamp=False)
 
@@ -53,7 +54,7 @@ def _ball(domain, params):
     _check_params("ball", params, {"rho"})
     rho = float(params.get("rho", 1.0))
     if rho < 0:
-        raise ZooError(f"target 'ball': rho must be >= 0, got {rho}")
+        raise ZooError(f"target 'ball': rho must be >= 0, got {rho}", "params.rho")
     return FunctionOracle(
         lambda X: np.where(np.linalg.norm(X, axis=1) <= rho, 1.0, -1.0),
         f"ball(rho={rho})", clamp=False)
@@ -70,7 +71,7 @@ def _random_grid(domain, params):
     k = int(params.get("k", 2))
     seed = int(params.get("seed", 0))
     if not 1 <= k <= 16:
-        raise ZooError(f"target 'random-grid': k must lie in [1,16], got {k}")
+        raise ZooError(f"target 'random-grid': k must lie in [1,16], got {k}", "params.k")
     cells = 2 ** k
 
     def fn(X):
@@ -89,8 +90,10 @@ def _planted_net(domain, params):
     d = int(params.get("d", 1))
     r = int(params.get("r", 0))
     seed = int(params.get("seed", 0))
-    if d < 1 or r < 0:
-        raise ZooError(f"target 'planted-net': need d >= 1, r >= 0, got d={d}, r={r}")
+    if d < 1:
+        raise ZooError(f"target 'planted-net': need d >= 1, got {d}", "params.d")
+    if r < 0:
+        raise ZooError(f"target 'planted-net': need r >= 0, got {r}", "params.r")
     net = planted_net(domain, d, r, seed)
     return FunctionOracle(net.eval_batch, f"planted-net(d={d},r={r},seed={seed})", clamp=False)
 
@@ -115,6 +118,6 @@ ZOO = {
 
 def zoo(name: str, params: dict, domain: DomainSpec) -> FunctionOracle:
     if name not in ZOO:
-        raise ZooError(f"unknown target {name!r}; known: {sorted(ZOO)}")
+        raise ZooError(f"unknown target {name!r}; known: {sorted(ZOO)}", "name")
     builder, _ = ZOO[name]
     return builder(domain, dict(params or {}))

@@ -7,13 +7,13 @@ from clipreg.adversary import (
     DictSpec,
     ascend,
     best_gain_element,
-    correlation,
     invisibility_audit,
     sigma_dr,
 )
 from clipreg.measure import (
     FunctionOracle,
     build_quadrature,
+    inner,
     l2_norm_sq,
     oracle_from_net,
     oracle_from_values,
@@ -45,11 +45,11 @@ class TestDictSpec:
 class TestCorrelation:
     def test_constant_pair(self, dom1, quad1):
         net = RepNet(dom1, (Layer(np.zeros((1, 1)), np.array([1.0])),))
-        assert correlation(quad1, net, const_oracle(1)) == pytest.approx(1.0)
+        assert inner(quad1, oracle_from_net(net), const_oracle(1)) == pytest.approx(1.0)
 
     def test_sign_flip(self, dom1, quad1):
         net = RepNet(dom1, (Layer(np.zeros((1, 1)), np.array([1.0])),))
-        assert correlation(quad1, net, const_oracle(-1)) == pytest.approx(-1.0)
+        assert inner(quad1, oracle_from_net(net), const_oracle(-1)) == pytest.approx(-1.0)
 
 
 class TestAscend:
@@ -64,7 +64,7 @@ class TestAscend:
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         res = ascend(quad2, DictSpec(2, 1, dom2), f, SMALL, seed=3)
         assert res.value == pytest.approx(
-            abs(correlation(quad2, res.witness, f)), abs=1e-12)
+            abs(inner(quad2, oracle_from_net(res.witness), f)), abs=1e-12)
 
     def test_per_restart_bounded_by_value(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0] ** 2 - 0.5, "par")

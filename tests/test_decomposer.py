@@ -12,10 +12,9 @@ from clipreg.decomposer import (
     certify_split,
     decompose,
     m_budget_for,
-    report_from_dict,
 )
-from clipreg.measure import FunctionOracle, build_quadrature, oracle_from_net
-from clipreg.netcore import DomainSpec, RepCert
+from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
+from clipreg.netcore import DomainSpec, RepCert, net_from_dict
 from clipreg.zoo import planted_net, zoo
 from conftest import const_oracle
 
@@ -90,7 +89,7 @@ class TestDecompose:
 
     def test_certify_split_passes(self, run_step):
         _, quad, f, report = run_step
-        verdict = certify_split(report, quad, f)
+        verdict = certify_split(report.to_dict(), quad, f)
         assert verdict["ok"], verdict["details"]
 
     def test_zero_function_needs_no_stages(self, dom2, quad2):
@@ -137,6 +136,11 @@ class TestDecompose:
             decompose(quad2, DictSpec(1, 0, dom2), const_oracle(0), 0.5,
                       Budget(2, 10), seed=1, stage_dict="shrinking")
 
+    def test_non_finite_target_rejected(self, dom2, quad2):
+        f = FunctionOracle(lambda X: np.where(X[:, 0] > 0.5, np.nan, 0.5), "nan")
+        with pytest.raises(MeasureError):
+            decompose(quad2, DictSpec(1, 0, dom2), f, 0.5, Budget(2, 10), seed=1)
+
     def test_lambda_within_weight_box(self, run_step):
         dom, _, _, report = run_step
         for pick in report.trace.picks:
@@ -146,12 +150,13 @@ class TestDecompose:
 class TestReportRoundTrip:
     def test_dict_round_trip(self, run_step):
         _, quad, f, report = run_step
-        clone = report_from_dict(json.loads(json.dumps(report.to_dict())))
-        assert clone.m_prime == report.m_prime
-        assert clone.residual_l2_sq == report.residual_l2_sq
-        assert clone.trace.levels() == report.trace.levels()
+        clone = json.loads(json.dumps(report.to_dict()))
+        assert clone["m_prime"] == report.m_prime
+        assert clone["residual_l2_sq"] == report.residual_l2_sq
+        trace = clone["trace"]
+        assert [trace["t0"]] + [p["t_after"] for p in trace["picks"]] == report.trace.levels()
         gv = oracle_from_net(report.g).values(quad)
-        cv = oracle_from_net(clone.g).values(quad)
+        cv = oracle_from_net(net_from_dict(clone["g"])).values(quad)
         assert np.array_equal(gv, cv)
         verdict = certify_split(clone, quad, f)
         assert verdict["ok"], verdict["details"]
@@ -168,16 +173,16 @@ def _check(verdict, name):
 class TestCertifySplit:
     def test_flags_tampered_residual(self, run_step):
         _, quad, f, report = run_step
-        broken = report_from_dict(report.to_dict())
-        object.__setattr__(broken, "residual_l2_sq", report.residual_l2_sq + 0.5)
+        broken = report.to_dict()
+        broken["residual_l2_sq"] = report.residual_l2_sq + 0.5
         verdict = certify_split(broken, quad, f)
         assert not verdict["ok"]
         assert not _check(verdict, "residual_l2_sq")["ok"]
 
     def test_flags_tampered_trace(self, run_step):
         _, quad, f, report = run_step
-        broken = report_from_dict(report.to_dict())
-        object.__setattr__(broken.trace, "t0", 1.5)
+        broken = report.to_dict()
+        broken["trace"]["t0"] = 1.5
         verdict = certify_split(broken, quad, f)
         assert not verdict["ok"]
         assert not _check(verdict, "trace_t0")["ok"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from clipreg.netcore import (
     compose_parallel,
     eval_net,
     eval_unit,
-    net_from_json,
-    net_to_json,
+    net_from_dict,
+    net_to_dict,
     pad_depth,
     zero_net,
 )
@@ -225,7 +226,7 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         for _ in range(10):
             net = random_net(rng, DomainSpec(3, 1.0))
-            back = net_from_json(net_to_json(net))
+            back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
             assert back.domain == net.domain
             assert len(back.layers) == len(net.layers)
             for a, b in zip(net.layers, back.layers):
@@ -235,7 +236,7 @@ class TestSerialization:
     def test_awkward_floats_survive(self, dom2):
         vals = [math.pi / 4, 1e-300, -0.1, 1.0 / 3.0]
         net = RepNet(dom2, (Layer(np.array([[vals[0], vals[1]]]), np.array([vals[2]])),))
-        back = net_from_json(net_to_json(net))
+        back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
         assert np.array_equal(back.layers[0].W, net.layers[0].W)
         assert np.array_equal(back.layers[0].b, net.layers[0].b)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,37 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base_config(**overrides)))
     return str(path)
+
+
+def solver(**changes):
+    return {**base_config()["solver"], **changes}
+
+
+# (field the error must name, config overrides)
+BAD_FIELDS = [
+    pytest.param("domain.n", {"domain": {"n": True, "q": 1.0}}, id="n-true"),
+    pytest.param("dict.d", {"dict": {"d": True, "r": 1}}, id="d-true"),
+    pytest.param("solver.restarts", {"solver": solver(restarts=True)}, id="restarts-true"),
+    pytest.param("solver.seed", {"solver": solver(seed=False)}, id="seed-false"),
+    pytest.param("solver.step0", {"solver": solver(step0=math.nan)}, id="step0-nan"),
+    pytest.param("solver.step0", {"solver": solver(step0=math.inf)}, id="step0-inf"),
+    pytest.param("domain.q", {"domain": {"n": 2, "q": math.inf}}, id="q-inf"),
+    pytest.param("domain.q", {"domain": {"n": 2, "q": 0.5}}, id="q-below-one"),
+    pytest.param("epsilon", {"epsilon": 1.5}, id="epsilon-above-one"),
+    pytest.param("target.params", {"target": {"name": "sine", "params": [1]}},
+                 id="params-list"),
+    pytest.param("target.params.kappa",
+                 {"target": {"name": "sine", "params": {"kappa": math.nan}}}, id="kappa-nan"),
+    pytest.param("target.params.theta",
+                 {"target": {"name": "step", "params": {"theta": 2.0}}}, id="theta-range"),
+    pytest.param("target.name", {"target": {"name": "chirp"}}, id="unknown-target"),
+    pytest.param("quadrature.scheme",
+                 {"domain": {"n": 8, "q": 1.0},
+                  "quadrature": {"scheme": "tensor-grid", "size": 4, "seed": 0}},
+                 id="tensor-grid-n8"),
+    pytest.param("stage_dict", {"stage_dict": "shrinking"}, id="unknown-stage-dict"),
+    pytest.param("output.trace", {"output": {"trace": 5}}, id="trace-int"),
+]
 
 
 class TestZoo:
@@ -84,7 +116,7 @@ class TestConfig:
     def test_parse_round_trip(self):
         cfg = parse_config(base_config())
         assert cfg.domain == DomainSpec(2, 1.0)
-        assert cfg.dict_d == 2 and cfg.dict_r == 1
+        assert cfg.dict_spec.d == 2 and cfg.dict_spec.r == 1
         assert cfg.epsilon == 0.5
         assert cfg.stage_dict == "fixed"
         assert cfg.output.report == "report.json"
@@ -105,15 +137,14 @@ class TestConfig:
             parse_config(bad)
         assert "solver" in str(exc.value)
 
-    def test_bad_epsilon_named(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config(base_config(epsilon=1.5))
-        assert "epsilon" in str(exc.value)
-
-    def test_bad_q_named(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config(base_config(domain={"n": 2, "q": 0.5}))
-        assert "domain.q" in str(exc.value)
+    @pytest.mark.parametrize("field_name, overrides", BAD_FIELDS)
+    def test_bad_field_named(self, tmp_path, monkeypatch, capsys, field_name, overrides):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["decompose", "--config", write_config(tmp_path, **overrides)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config field {field_name!r}" in err
+        assert "Traceback" not in err
 
     def test_seed_must_be_integer(self):
         bad = base_config()
