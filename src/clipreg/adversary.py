@@ -142,60 +142,72 @@ def _objective_gain(weights, resvals):
     return eval_obj
 
 
-def _ascend_chunk(X, B, objective, Ws, bs, q, bias_bounds, budget: Budget):
+def _forward(X, Ws, bs, Zs, As):
+    """Forward pass of B stacked nets at the nodes X (N, n), unit-major.
+
+    Ws[l]: (B, out, in); bs[l]: (B, out).  Writes layer l's pre-activation
+    into Zs[l] and its clipped output into As[l], both (B, out, N).  Returns
+    h = As[-1][:, 0]: (B, N).
+    """
+    A = X.T
+    for W, b, Z, A_out in zip(Ws, bs, Zs, As):
+        np.matmul(W, A, out=Z)
+        Z += b[:, :, None]
+        A = np.clip(Z, -1.0, 1.0, out=A_out)
+    return A[:, 0]
+
+
+def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
+    """Backpropagate dJ/dh = Gc (B, N) through the pass `_forward` left in Zs
+    and As, writing dJ/dW into gWs and dJ/db into gbs.  masks, dZs and Gs
+    are scratch buffers shaped like Zs."""
+    inputs = [X.T] + As[:-1]
+    G = Gc[:, None, :]
+    for l in range(len(Ws) - 1, -1, -1):
+        # Z == A exactly where the clip is inactive, kinks included;
+        # the subgradient there is 1 (the interior value), 0 outside
+        np.equal(Zs[l], As[l], out=masks[l])
+        dZ = np.multiply(G, masks[l], out=dZs[l])
+        np.sum(dZ, axis=2, out=gbs[l])
+        np.matmul(dZ, inputs[l].swapaxes(-1, -2), out=gWs[l])
+        if l > 0:
+            G = np.matmul(Ws[l].transpose(0, 2, 1), dZ, out=Gs[l - 1])
+
+
+def _ascend_chunk(X, objective, Ws, bs, q, bias_bounds, budget: Budget):
     """Ascend a chunk of parameter sets on a batched objective of h.
 
-    Ws[l]: (B, out, in); bs[l]: (B, out).  `objective(h)` returns the per-entry
-    value (B,) and its gradient coefficients dJ/dh (B, N).  Returns per-entry
-    best objective and the parameters achieving it.
+    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place.  `objective(h)`
+    returns the per-entry value (B,) and its gradient coefficients dJ/dh
+    (B, N).  Returns per-entry best objective and the parameters achieving
+    it.  Every buffer belongs to this call, so chunks can run concurrently.
     """
-    L = len(Ws)
+    B, N = len(bs[0]), len(X)
+    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N)) for W in Ws] for _ in range(4))
+    masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
+    gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     best_obj = np.full(B, -np.inf)
-    best_Ws = [W.copy() for W in Ws]
-    best_bs = [b.copy() for b in bs]
-    X0 = X[None]  # (1, N, n), broadcast against the batch in matmul
+    best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
     step = budget.step0
     for it in range(budget.iterations + 1):
-        # forward
-        acts = []
-        masks = []
-        A = X0
-        for l in range(L):
-            Z = np.matmul(A, np.swapaxes(Ws[l], 1, 2))
-            Z += bs[l][:, None, :]
-            acts.append(A)
-            A = np.clip(Z, -1.0, 1.0)
-            # Z == A exactly where the clip is inactive, kinks included;
-            # the subgradient there is 1 (the interior value), 0 outside
-            masks.append(Z == A)
-        h = A[:, :, 0]
-        obj, Gc = objective(h)
+        obj, Gc = objective(_forward(X, Ws, bs, Zs, As))
         improved = obj > best_obj
-        if np.any(improved):
-            best_obj[improved] = obj[improved]
-            for l in range(L):
-                best_Ws[l][improved] = Ws[l][improved]
-                best_bs[l][improved] = bs[l][improved]
+        np.copyto(best_obj, obj, where=improved)
+        for W, b, best_W, best_b in zip(Ws, bs, best_Ws, best_bs):
+            np.copyto(best_W, W, where=improved[:, None, None])
+            np.copyto(best_b, b, where=improved[:, None])
         if it == budget.iterations:
             break
-        # backward
-        G = Gc[:, :, None]
-        gWs = [None] * L
-        gbs = [None] * L
-        for l in range(L - 1, -1, -1):
-            dZ = G * masks[l]
-            gWs[l] = np.matmul(np.swapaxes(dZ, 1, 2), acts[l])
-            gbs[l] = dZ.sum(axis=1)
-            if l > 0:
-                G = np.matmul(dZ, Ws[l])
+        _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
         # normalized subgradient step, then projection onto the boxes
-        sq = np.zeros(B)
-        for l in range(L):
-            sq += np.einsum("boi,boi->b", gWs[l], gWs[l]) + np.einsum("bo,bo->b", gbs[l], gbs[l])
+        sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
+                 for gW, gb in zip(gWs, gbs))
         scale = step / np.maximum(np.sqrt(sq), 1e-12)
-        for l in range(L):
-            Ws[l] = np.clip(Ws[l] + scale[:, None, None] * gWs[l], -q, q)
-            bs[l] = np.clip(bs[l] + scale[:, None] * gbs[l], -bias_bounds[l], bias_bounds[l])
+        for W, b, gW, gb, bound in zip(Ws, bs, gWs, gbs, bias_bounds):
+            gW *= scale[:, None, None]
+            np.clip(np.add(W, gW, out=W), -q, q, out=W)
+            gb *= scale[:, None]
+            np.clip(np.add(b, gb, out=b), -bound, bound, out=b)
         step *= budget.decay
     return best_obj, best_Ws, best_bs
 
@@ -250,8 +262,7 @@ def _multistart(quad: Quadrature, spec: DictSpec, entry_inits, make_objective,
         hi = min(lo + _CHUNK, n_entries)
         Ws = [np.stack([entry_inits[e][0][l] for e in range(lo, hi)]) for l in range(L)]
         bs = [np.stack([entry_inits[e][1][l] for e in range(lo, hi)]) for l in range(L)]
-        return ci, _ascend_chunk(X, hi - lo, make_objective(lo, hi), Ws, bs,
-                                 q, bias_bounds, budget)
+        return ci, _ascend_chunk(X, make_objective(lo, hi), Ws, bs, q, bias_bounds, budget)
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -267,10 +278,8 @@ def _multistart(quad: Quadrature, spec: DictSpec, entry_inits, make_objective,
 
 def _forward_all(X, Ws, bs):
     """Full-quadrature forward pass for a stack of parameter sets: (E, N)."""
-    A = X[None]
-    for W, b in zip(Ws, bs):
-        A = np.clip(np.matmul(A, np.swapaxes(W, 1, 2)) + b[:, None, :], -1.0, 1.0)
-    return A[:, :, 0]
+    bufs = [np.empty((len(b), b.shape[1], len(X))) for b in bs]
+    return _forward(X, Ws, bs, bufs, bufs)  # each layer clips in place
 
 
 def _entry_net(spec: DictSpec, Ws, bs, e: int) -> RepNet:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from clipreg.config import ConfigError, RunConfig, load_config, owned
-from clipreg.netcore import DomainSpec
+from clipreg.netcore import DomainSpec, NetError
 from clipreg.measure import MeasureError, build_quadrature
 from clipreg.adversary import ascend
 from clipreg.decomposer import certify_split, decompose
@@ -41,19 +41,18 @@ def _write_trace_csv(path, report) -> None:
             writer.writerow([p.k, _fmt(p.t_after), _fmt(p.lam), _fmt(p.gain)])
 
 
-def _setup(cfg: RunConfig, n_override: int | None = None):
-    domain = cfg.domain if n_override is None else DomainSpec(n=n_override, q=cfg.domain.q)
+def _setup(cfg: RunConfig, domain: DomainSpec):
     quad = owned("quadrature.", build_quadrature, domain, cfg.quadrature.scheme,
                  cfg.quadrature.size, cfg.quadrature.seed)
     target = owned("target.", zoo, cfg.target.name, cfg.target.params, domain)
-    return domain, quad, target, replace(cfg.dict_spec, domain=domain)
+    return quad, target, replace(cfg.dict_spec, domain=domain)
 
 
-def run_decompose(cfg: RunConfig, threads: int = 1, n_override: int | None = None):
-    domain, quad, target, spec = _setup(cfg, n_override)
+def run_decompose(cfg: RunConfig, threads: int = 1, domain: DomainSpec | None = None):
+    domain = domain or cfg.domain
+    quad, target, spec = _setup(cfg, domain)
     echo = cfg.echo()
-    if n_override is not None:
-        echo["domain"]["n"] = n_override
+    echo["domain"]["n"] = domain.n
     return quad, target, owned(
         "", decompose, quad, spec, target, cfg.epsilon, cfg.budget, cfg.solver_seed,
         stage_dict=cfg.stage_dict, threads=threads, config_echo=echo)
@@ -82,7 +81,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_adversary(args) -> int:
     cfg = load_config(args.config)
-    domain, quad, target, spec = _setup(cfg)
+    quad, target, spec = _setup(cfg, cfg.domain)
     result = ascend(quad, spec, target, cfg.budget, cfg.solver_seed, threads=args.threads)
     _write_json(cfg.output.report, result.to_dict())
     print(f"wrote {cfg.output.report} (value={result.value:.6g}, lower bound)")
@@ -92,17 +91,20 @@ def cmd_adversary(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     try:
-        dims = [int(tok) for tok in args.n.split(",") if tok]
+        domains = [DomainSpec(n=int(tok), q=cfg.domain.q) for tok in args.n.split(",") if tok]
+    except NetError as e:  # before ValueError, which it extends
+        print(f"error: --n: {e}", file=sys.stderr)
+        return 2
     except ValueError:
         print(f"error: --n expects a comma-separated integer list, got {args.n!r}",
               file=sys.stderr)
         return 2
     rows = []
-    for n in dims:
-        _, _, report = run_decompose(cfg, threads=args.threads, n_override=n)
-        rows.append([n, report.m_prime, _fmt(report.residual_l2_sq),
+    for domain in domains:
+        _, _, report = run_decompose(cfg, threads=args.threads, domain=domain)
+        rows.append([domain.n, report.m_prime, _fmt(report.residual_l2_sq),
                      _fmt(report.audit["result"].value)])
-        print(f"n={n}: m'={report.m_prime}/{report.m_budget}")
+        print(f"n={domain.n}: m'={report.m_prime}/{report.m_budget}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
@@ -120,13 +122,25 @@ def cmd_zoo(args) -> int:
     return 0
 
 
+def _malformed_report(path, e) -> int:
+    what = f"invalid JSON: {e}" if isinstance(e, json.JSONDecodeError) else f"missing key {e}"
+    print(f"error: report {path}: {what}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    with open(args.report) as fh:
-        report = json.load(fh)
-    n = report["config_echo"].get("domain", {}).get("n")
-    _, quad, target, _ = _setup(cfg, n_override=n)
-    verdict = certify_split(report, quad, target)
+    try:
+        with open(args.report) as fh:
+            report = json.load(fh)
+        n = report["config_echo"].get("domain", {}).get("n")
+    except (json.JSONDecodeError, KeyError) as e:
+        return _malformed_report(args.report, e)
+    quad, target, _ = _setup(cfg, cfg.domain if n is None else DomainSpec(n=n, q=cfg.domain.q))
+    try:
+        verdict = certify_split(report, quad, target)
+    except KeyError as e:
+        return _malformed_report(args.report, e)
     for item in verdict["details"]:
         status = "ok" if item["ok"] else "FAILED"
         print(f"{item['check']}: {status}")

@@ -9,7 +9,7 @@ field.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from clipreg.netcore import ClipregError, DomainSpec
@@ -42,8 +42,9 @@ def _kind(what: str, test):
 
 
 _INT = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+# an integer too large for a float is not a finite number either
 _NUM = _kind("a finite number", lambda v: isinstance(v, (int, float))
-             and not isinstance(v, bool) and math.isfinite(v))
+             and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 _STR = _kind("a string", lambda v: isinstance(v, str))
 
 

@@ -39,3 +39,27 @@ def quad1(dom1):
 @pytest.fixture(scope="session")
 def quad2(dom2):
     return build_quadrature(dom2, "low-discrepancy", 2048, seed=3)
+
+
+def reference_step(X, Ws, bs, Gc):
+    """One ascent step in the (B, N, d) layout, as a batched matmul per layer.
+
+    Ws[l]: (B, out, in); bs[l]: (B, out); X: (N, n); Gc = dJ/dh: (B, N).
+    Returns the output h (B, N) and the gradients gWs, gbs shaped like Ws, bs.
+    """
+    acts, masks = [], []
+    A = X[None]
+    for W, b in zip(Ws, bs):
+        Z = np.matmul(A, np.swapaxes(W, 1, 2)) + b[:, None, :]
+        acts.append(A)
+        A = np.clip(Z, -1.0, 1.0)
+        masks.append(Z == A)
+    G = Gc[:, :, None]
+    gWs, gbs = [None] * len(Ws), [None] * len(Ws)
+    for l in range(len(Ws) - 1, -1, -1):
+        dZ = G * masks[l]
+        gWs[l] = np.matmul(np.swapaxes(dZ, 1, 2), acts[l])
+        gbs[l] = dZ.sum(axis=1)
+        if l > 0:
+            G = np.matmul(dZ, Ws[l])
+    return A[:, :, 0], gWs, gbs

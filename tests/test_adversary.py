@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from clipreg.adversary import (
+    _CHUNK,
     AdversaryError,
     Budget,
     DictSpec,
+    _backward,
+    _forward,
+    _forward_all,
     ascend,
     best_gain_element,
     invisibility_audit,
@@ -21,7 +25,7 @@ from clipreg.measure import (
 )
 from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet
 from clipreg.zoo import planted_net
-from conftest import const_oracle
+from conftest import const_oracle, reference_step
 
 SMALL = Budget(restarts=16, iterations=150)
 
@@ -177,3 +181,70 @@ class TestInvisibilityAudit:
                                    epsilon=0.3, budget=Budget(4, 30), seed=2)
         assert audit["invisible_up_to_budget"] is True
         assert audit["note"] == "no witness found at this budget"
+
+
+def kernel_step(X, Ws, bs, Gc):
+    """One forward and backward pass of the adversary kernel, on fresh buffers."""
+    B, N = len(Gc), len(X)
+    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N)) for W in Ws] for _ in range(4))
+    masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
+    gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
+    h = _forward(X, Ws, bs, Zs, As).copy()
+    _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
+    return h, gWs, gbs
+
+
+def random_stack(rng, widths, B):
+    Ws = [rng.uniform(-1.0, 1.0, (B, d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])]
+    bs = [rng.uniform(-1.0, 1.0, (B, d_out)) for d_out in widths[1:]]
+    return Ws, bs
+
+
+class TestKernel:
+    WIDTHS = [[2, 2, 1], [8, 2, 1], [2, 4, 4, 1], [2, 8, 8, 8, 1]]
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_step_matches_reference(self, widths):
+        rng = np.random.default_rng(sum(widths))
+        B, N = 6, 300
+        X = rng.uniform(-1.0, 1.0, (N, widths[0]))
+        Ws, bs = random_stack(rng, widths, B)
+        Gc = rng.uniform(-1.0, 1.0, (B, N))
+        h_ref, gWs_ref, gbs_ref = reference_step(X, Ws, bs, Gc)
+        h, gWs, gbs = kernel_step(X, Ws, bs, Gc)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        for got, ref in zip(gWs + gbs, gWs_ref + gbs_ref):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_forward_all_matches_eval_batch(self, widths):
+        rng = np.random.default_rng(len(widths))
+        X = rng.uniform(-1.0, 1.0, (500, widths[0]))
+        Ws, bs = random_stack(rng, widths, 5)
+        h = _forward_all(X, Ws, bs)
+        dom = DomainSpec(widths[0], 1.0)
+        for e in range(len(h)):
+            net = RepNet(dom, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
+            np.testing.assert_allclose(h[e], net.eval_batch(X), rtol=0, atol=1e-12)
+
+
+class TestThreads:
+    """Runs of several chunks give the same bits on one thread and on two."""
+
+    def test_ascend_multi_chunk(self, dom2, quad2):
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        budget = Budget(restarts=_CHUNK // 2 + 8, iterations=30)  # two entries per restart
+        a, b = (ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+                for t in (1, 2))
+        assert a.value == b.value
+        assert a.per_restart_values == b.per_restart_values
+        for la, lb in zip(a.witness.layers, b.witness.layers):
+            assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+
+    def test_best_gain_element_multi_chunk(self, dom2, quad2):
+        f = FunctionOracle(lambda X: np.sign(X[:, 0]) * X[:, 1], "mix")
+        budget = Budget(restarts=_CHUNK + 8, iterations=30)  # one entry per restart
+        a, b = (best_gain_element(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+                for t in (1, 2))
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)

@@ -46,6 +46,7 @@ BAD_FIELDS = [
     pytest.param("solver.step0", {"solver": solver(step0=math.inf)}, id="step0-inf"),
     pytest.param("domain.q", {"domain": {"n": 2, "q": math.inf}}, id="q-inf"),
     pytest.param("domain.q", {"domain": {"n": 2, "q": 0.5}}, id="q-below-one"),
+    pytest.param("domain.q", {"domain": {"n": 2, "q": 10 ** 400}}, id="q-int-beyond-float"),
     pytest.param("epsilon", {"epsilon": 1.5}, id="epsilon-above-one"),
     pytest.param("target.params", {"target": {"name": "sine", "params": [1]}},
                  id="params-list"),
@@ -227,6 +228,20 @@ class TestCliVerify:
         assert main(["verify", "--report", str(report_path),
                      "--config", cfg_path]) == 1
 
+    @pytest.mark.parametrize("text, named", [
+        ("{}", "'config_echo'"),
+        ('{"config_echo": {}}', "'g'"),
+        ("{", "invalid JSON"),
+    ], ids=["empty", "no-g", "bad-json"])
+    def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(text)
+        assert main(["verify", "--report", str(report_path),
+                     "--config", write_config(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
 
 class TestCliSweep:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -246,6 +261,14 @@ class TestCliSweep:
         cfg_path = write_config(tmp_path)
         assert main(["sweep", "--config", cfg_path, "--n", "2,x",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_sweep_rejects_dimension_zero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfg_path, "--n", "2,0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCliMisc:
