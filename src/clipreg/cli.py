@@ -122,8 +122,7 @@ def cmd_zoo(args) -> int:
     return 0
 
 
-def _malformed_report(path, e) -> int:
-    what = f"invalid JSON: {e}" if isinstance(e, json.JSONDecodeError) else f"missing key {e}"
+def _malformed_report(path, what) -> int:
     print(f"error: report {path}: {what}", file=sys.stderr)
     return 2
 
@@ -133,14 +132,23 @@ def cmd_verify(args) -> int:
     try:
         with open(args.report) as fh:
             report = json.load(fh)
+        if not isinstance(report, dict):
+            return _malformed_report(args.report, "not a JSON object")
         n = report["config_echo"].get("domain", {}).get("n")
-    except (json.JSONDecodeError, KeyError) as e:
-        return _malformed_report(args.report, e)
-    quad, target, _ = _setup(cfg, cfg.domain if n is None else DomainSpec(n=n, q=cfg.domain.q))
+        domain = cfg.domain if n is None else DomainSpec(n=n, q=cfg.domain.q)
+    except json.JSONDecodeError as e:
+        return _malformed_report(args.report, f"invalid JSON: {e}")
+    except KeyError as e:
+        return _malformed_report(args.report, f"missing key {e}")
+    except (AttributeError, TypeError) as e:  # config_echo or its domain is not an object
+        return _malformed_report(args.report, f"config_echo.domain: {e}")
+    except NetError as e:  # q comes from the config, so n is at fault
+        return _malformed_report(args.report, f"config_echo.domain.n: {e}")
+    quad, target, _ = _setup(cfg, domain)
     try:
         verdict = certify_split(report, quad, target)
     except KeyError as e:
-        return _malformed_report(args.report, e)
+        return _malformed_report(args.report, f"missing key {e}")
     for item in verdict["details"]:
         status = "ok" if item["ok"] else "FAILED"
         print(f"{item['check']}: {status}")

@@ -9,16 +9,21 @@ energy trace then holds exactly, not up to sampling noise.
 from __future__ import annotations
 
 import csv
-import warnings
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from clipreg.netcore import ClipregError, DomainSpec, RepNet
 
 SCHEMES = ("tensor-grid", "low-discrepancy", "seeded-uniform")
 _TENSOR_GRID_MAX_DIM = 4
+_SOBOL_BITS = 30
+_MAX_NODES = 2 ** _SOBOL_BITS  # every scheme: the most points a 30-bit Sobol sequence has
+# Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 2008), the table scipy ships
+_SOBOL_TABLE = Path(__file__).with_name("_sobol_direction_numbers.npz")
+_SOBOL_MAX_DIM = 21201  # rows of the table
 
 
 class MeasureError(ClipregError):
@@ -57,19 +62,78 @@ class Quadrature:
         return self.nodes.shape[0]
 
 
+@functools.cache
+def _sobol_directions(n: int) -> np.ndarray:
+    """(n, 30) direction numbers of the first n Sobol dimensions, expanded from
+    the table by the Bratley-Fox recurrence, as scipy's `_initialize_v` does."""
+    with np.load(_SOBOL_TABLE) as table:
+        poly, vinit = table["poly"][:n], table["vinit"][:n]
+    degree = np.frexp(poly.astype(np.float64))[1] - 1
+    v = np.ones((n, _SOBOL_BITS), dtype=np.uint32)  # dimension 0 has degree 0: all ones
+    for m in range(1, int(degree.max()) + 1):  # not np.unique, which imports numpy.ma
+        rows = np.flatnonzero(degree == m)
+        block = np.zeros((rows.size, _SOBOL_BITS), dtype=np.uint32)
+        block[:, :m] = vinit[rows, :m]
+        taps = [((poly[rows] >> (m - 1 - k)) & 1).astype(np.uint32) << (k + 1) for k in range(m)]
+        for j in range(m, _SOBOL_BITS):
+            new = block[:, j - m].copy()
+            for k, tap in enumerate(taps):
+                new ^= tap * block[:, j - k - 1]
+            block[:, j] = new
+        v[rows] = block
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    v.setflags(write=False)
+    return v
+
+
+def _sobol(n: int, size: int, seed: int) -> np.ndarray:
+    """The first `size` points of scipy's `qmc.Sobol(d=n, scramble=True,
+    seed=seed)`, bit for bit: Matousek's LMS scramble plus a digital shift,
+    drawn in scipy's order, and the points in Gray-code order."""
+    rng = np.random.default_rng(seed)
+    pow2 = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(0, 2, (n, _SOBOL_BITS), dtype=np.uint32) @ pow2
+    ltm = np.tril(rng.integers(0, 2, (n, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # each direction number as a bit vector, top bit first, times ltm over GF(2)
+    top_first = pow2[::-1]
+    bits = ((_sobol_directions(n)[:, :, None] & top_first) != 0).astype(np.uint32)
+    v = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ top_first
+    # point i is the XOR of v[:, k] over the bits k of gray(i); the Gray code
+    # of [m, 2m) is that of [0, m) reflected, with bit log2(m) set
+    Y = np.zeros((n, size), dtype=np.uint32)
+    for k in range((size - 1).bit_length()):
+        m = 1 << k
+        c = min(m, size - m)
+        np.bitwise_xor(Y[:, m - 1::-1][:, :c], v[:, k, None], out=Y[:, m:m + c])
+    Y ^= shift[:, None]
+    return Y.T * 2.0 ** -_SOBOL_BITS
+
+
 def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) -> Quadrature:
     """Deterministic nodes/weights for the uniform probability measure.
 
     tensor-grid: Gauss-Legendre with `size` nodes per axis (n <= 4 only).
     low-discrepancy: first `size` points of a seeded scrambled Sobol sequence.
     seeded-uniform: pseudo-random uniform points, equal weights.
+    Every scheme has at most 2**30 nodes, checked before anything is allocated.
     """
+    if scheme not in SCHEMES:
+        raise MeasureError(f"unknown quadrature scheme {scheme!r}; expected one of {SCHEMES}",
+                           "scheme")
     if size < 1:
         raise MeasureError(f"size must be >= 1, got {size}", "size")
+    if scheme == "tensor-grid" and spec.n > _TENSOR_GRID_MAX_DIM:
+        raise MeasureError(f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} "
+                           "(node count explosion)", "scheme")
+    if scheme == "low-discrepancy" and spec.n > _SOBOL_MAX_DIM:
+        raise MeasureError(f"low-discrepancy rejected for n={spec.n} > {_SOBOL_MAX_DIM} "
+                           "(the Sobol direction numbers end there)", "scheme")
+    count = size ** spec.n if scheme == "tensor-grid" else size
+    if count > _MAX_NODES:
+        raise MeasureError(f"{scheme} with size {size} needs {count} nodes, "
+                           f"more than 2**{_SOBOL_BITS}", "size")
     if scheme == "tensor-grid":
-        if spec.n > _TENSOR_GRID_MAX_DIM:
-            raise MeasureError(f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} "
-                               "(node count explosion)", "scheme")
         x, w = np.polynomial.legendre.leggauss(size)
         w = w / 2.0  # normalize per axis: weights on [-1,1] sum to 2
         axes = np.meshgrid(*([x] * spec.n), indexing="ij")
@@ -80,17 +144,11 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
         wts = wts / wts.sum()
         return Quadrature(nodes, wts, scheme_id="tensor-grid", seed=seed)
     if scheme == "low-discrepancy":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # non power-of-two sizes
-            sampler = qmc.Sobol(d=spec.n, scramble=True, seed=seed)
-            u = sampler.random(size)
-        nodes = 2.0 * u - 1.0
+        nodes = 2.0 * _sobol(spec.n, size, seed) - 1.0
         return Quadrature(nodes, np.full(size, 1.0 / size), "low-discrepancy", seed)
-    if scheme == "seeded-uniform":
-        rng = np.random.default_rng(seed)
-        nodes = rng.uniform(-1.0, 1.0, size=(size, spec.n))
-        return Quadrature(nodes, np.full(size, 1.0 / size), "seeded-uniform", seed)
-    raise MeasureError(f"unknown quadrature scheme {scheme!r}; expected one of {SCHEMES}", "scheme")
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(-1.0, 1.0, size=(size, spec.n))
+    return Quadrature(nodes, np.full(size, 1.0 / size), "seeded-uniform", seed)
 
 
 class FunctionOracle:

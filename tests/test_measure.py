@@ -1,8 +1,13 @@
 import csv
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clipreg
 from clipreg.measure import (
     FunctionOracle,
     MeasureError,
@@ -55,6 +60,33 @@ class TestBuildQuadrature:
         for scheme in ("tensor-grid", "low-discrepancy", "seeded-uniform"):
             q = build_quadrature(dom2, scheme, 64, seed=2)
             assert np.max(np.abs(q.nodes)) <= 1.0 + 1e-12
+
+
+class TestSobol:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 40])
+    def test_matches_scipy_bit_for_bit(self, n):
+        from scipy.stats import qmc
+
+        for size in (1, 2, 3, 5, 1000, 2048, 2 ** 14):
+            for seed in (0, 3, 7, 12345):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # non power-of-two sizes
+                    ref = 2 * qmc.Sobol(d=n, scramble=True, seed=seed).random(size) - 1
+                got = build_quadrature(DomainSpec(n, 1.0), "low-discrepancy", size, seed).nodes
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got, ref), (size, seed)
+
+    def test_cli_never_imports_scipy(self):
+        src = str(Path(clipreg.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r})\n"
+                "import clipreg.cli\n"
+                "from clipreg.measure import build_quadrature\n"
+                "from clipreg.netcore import DomainSpec\n"
+                "build_quadrature(DomainSpec(2, 1.0), 'low-discrepancy', 2 ** 14, seed=3)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestInner:

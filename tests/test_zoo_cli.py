@@ -59,6 +59,11 @@ BAD_FIELDS = [
                  {"domain": {"n": 8, "q": 1.0},
                   "quadrature": {"scheme": "tensor-grid", "size": 4, "seed": 0}},
                  id="tensor-grid-n8"),
+    pytest.param("quadrature.scheme", {"domain": {"n": 30000, "q": 1.0}},
+                 id="low-discrepancy-beyond-table"),
+    pytest.param("quadrature.size",
+                 {"quadrature": {"scheme": "tensor-grid", "size": 100000, "seed": 0}},
+                 id="tensor-grid-over-2pow30-nodes"),
     pytest.param("stage_dict", {"stage_dict": "shrinking"}, id="unknown-stage-dict"),
     pytest.param("output.trace", {"output": {"trace": 5}}, id="trace-int"),
 ]
@@ -232,7 +237,11 @@ class TestCliVerify:
         ("{}", "'config_echo'"),
         ('{"config_echo": {}}', "'g'"),
         ("{", "invalid JSON"),
-    ], ids=["empty", "no-g", "bad-json"])
+        ("[]", "not a JSON object"),
+        ('{"config_echo": []}', "config_echo.domain"),
+        ('{"config_echo": {"domain": 5}}', "config_echo.domain"),
+        ('{"config_echo": {"domain": {"n": 0}}}', "config_echo.domain.n"),
+    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
