@@ -3,13 +3,10 @@ network plus a residual that no small network correlates with."""
 
 from clipreg.netcore import (
     DomainSpec,
-    ClipUnit,
     Layer,
     RepNet,
     RepCert,
     beta,
-    eval_unit,
-    eval_net,
     pad_depth,
     compose_parallel,
     zero_net,
@@ -43,8 +40,8 @@ from clipreg.decomposer import (
 )
 
 __all__ = [
-    "DomainSpec", "ClipUnit", "Layer", "RepNet", "RepCert",
-    "beta", "eval_unit", "eval_net", "pad_depth", "compose_parallel", "zero_net",
+    "DomainSpec", "Layer", "RepNet", "RepCert",
+    "beta", "pad_depth", "compose_parallel", "zero_net",
     "Quadrature", "FunctionOracle", "build_quadrature", "inner",
     "l2_norm_sq", "sigma_l1", "oracle_from_net", "oracle_from_values",
     "DictSpec", "Budget", "AdversaryResult", "ascend",

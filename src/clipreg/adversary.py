@@ -218,38 +218,30 @@ def _ascend_chunk(X, objective, Ws, bs, q, bias_bounds, budget: Budget):
 _SEARCH_NODES = 2048
 
 
-def _search_indices(quad: Quadrature):
+def _search_sample(quad: Quadrature):
+    """The search nodes X, their weights (renormalized when subsampled) and
+    the index `idx` that picks their values out of full-quadrature values."""
     if quad.size <= _SEARCH_NODES:
-        return None
+        return quad.nodes, quad.weights, slice(None)
     if quad.scheme_id == "low-discrepancy":
         # digital-sequence prefixes stay balanced; strides do not
-        return np.arange(_SEARCH_NODES)
-    rng = np.random.default_rng(quad.seed)
-    return np.sort(rng.choice(quad.size, size=_SEARCH_NODES, replace=False))
-
-
-def _search_sample(quad: Quadrature):
-    idx = _search_indices(quad)
-    if idx is None:
-        return quad.nodes, quad.weights
+        idx = np.arange(_SEARCH_NODES)
+    else:
+        rng = np.random.default_rng(quad.seed)
+        idx = np.sort(rng.choice(quad.size, size=_SEARCH_NODES, replace=False))
     w = quad.weights[idx]
-    return quad.nodes[idx], w / w.sum()
+    return quad.nodes[idx], w / w.sum(), idx
 
 
-def _subsample_values(quad: Quadrature, vals: np.ndarray) -> np.ndarray:
-    idx = _search_indices(quad)
-    return vals if idx is None else vals[idx]
-
-
-def _multistart(quad: Quadrature, spec: DictSpec, entry_inits, make_objective,
-                budget: Budget, threads: int):
-    """Run chunked multi-start ascent; returns per-entry best params stacked.
+def _multistart(X, spec: DictSpec, entry_inits, make_objective, budget: Budget,
+                threads: int):
+    """Run chunked multi-start ascent at the search nodes X; returns per-entry
+    best params stacked.
 
     `make_objective(lo, hi)` builds the batched objective for entries
     [lo, hi).  Chunks have a fixed size, so results are byte-identical for
     any worker count.
     """
-    X, _ = _search_sample(quad)
     widths = spec.arch()
     L = len(widths) - 1
     q = spec.domain.q
@@ -305,13 +297,13 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
     signs = np.array([+1.0, -1.0] * R)
     entry_inits = [inits[e // 2] for e in range(2 * R)]
 
-    _, ws = _search_sample(quad)
-    base_c = ws * _subsample_values(quad, tvals)
+    X, ws, idx = _search_sample(quad)
+    base_c = ws * tvals[idx]
 
     def make_objective(lo, hi):
         return _objective_linear(signs[lo:hi, None] * base_c[None, :])
 
-    Ws, bs = _multistart(quad, spec, entry_inits, make_objective, budget, threads)
+    Ws, bs = _multistart(X, spec, entry_inits, make_objective, budget, threads)
 
     # score every entry's best iterate on the full quadrature
     h = _forward_all(quad.nodes, Ws, bs)
@@ -340,14 +332,14 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     point in its direction.  Sign-invariant, so restarts are not duplicated.
     """
     rv = residual.values(quad)
-    _, ws = _search_sample(quad)
-    objective = _objective_gain(ws, _subsample_values(quad, rv))
+    X, ws, idx = _search_sample(quad)
+    objective = _objective_gain(ws, rv[idx])
 
     inits = [_init_params(spec, i, seed) for i in range(budget.restarts)]
     if warm_start is not None:
         inits[0] = _embed_params(warm_start, spec)
 
-    Ws, bs = _multistart(quad, spec, inits, lambda lo, hi: objective, budget, threads)
+    Ws, bs = _multistart(X, spec, inits, lambda lo, hi: objective, budget, threads)
 
     h = _forward_all(quad.nodes, Ws, bs)
     c = h @ (quad.weights * rv)

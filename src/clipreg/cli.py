@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-from clipreg.config import ConfigError, RunConfig, load_config, owned
+from clipreg.config import REPORT_SHAPE, ConfigError, RunConfig, load_config, owned
 from clipreg.netcore import DomainSpec, NetError
 from clipreg.measure import MeasureError, build_quadrature
 from clipreg.adversary import ascend
@@ -136,6 +136,7 @@ def cmd_verify(args) -> int:
             return _malformed_report(args.report, "not a JSON object")
         n = report["config_echo"].get("domain", {}).get("n")
         domain = cfg.domain if n is None else DomainSpec(n=n, q=cfg.domain.q)
+        REPORT_SHAPE(report, "")
     except json.JSONDecodeError as e:
         return _malformed_report(args.report, f"invalid JSON: {e}")
     except KeyError as e:
@@ -144,11 +145,10 @@ def cmd_verify(args) -> int:
         return _malformed_report(args.report, f"config_echo.domain: {e}")
     except NetError as e:  # q comes from the config, so n is at fault
         return _malformed_report(args.report, f"config_echo.domain.n: {e}")
+    except ConfigError as e:  # from REPORT_SHAPE
+        return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
     quad, target, _ = _setup(cfg, domain)
-    try:
-        verdict = certify_split(report, quad, target)
-    except KeyError as e:
-        return _malformed_report(args.report, f"missing key {e}")
+    verdict = certify_split(report, quad, target)
     for item in verdict["details"]:
         status = "ok" if item["ok"] else "FAILED"
         print(f"{item['check']}: {status}")

@@ -3,7 +3,8 @@
 This module checks the JSON shape of a config: its keys and the JSON type of
 each value.  Every range is checked by the type or function that owns the
 value; ``owned`` turns that owner's rejection into a ConfigError naming the
-field.
+field.  ``REPORT_SHAPE`` checks the JSON shape of the report fields that
+``certify_split`` reads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from clipreg.decomposer import m_budget_for
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field_name = field_name
+        self.detail = message
         super().__init__(f"config field {field_name!r}: {message}")
 
 
@@ -48,8 +50,10 @@ _NUM = _kind("a finite number", lambda v: isinstance(v, (int, float))
 _STR = _kind("a string", lambda v: isinstance(v, str))
 
 
-def _object(kinds: dict, optional=frozenset()):
-    """Check an object's keys, then the JSON type of each value."""
+def _object(kinds: dict, optional=frozenset(), closed=True):
+    """Check an object's keys, then, in the order of `kinds`, that each key is
+    present and its value of the JSON type `kinds` gives.  A closed object
+    has no keys beyond `kinds`."""
     def check(obj, where):
         def name(key):
             return f"{where}.{key}" if where else key
@@ -57,14 +61,22 @@ def _object(kinds: dict, optional=frozenset()):
         if not isinstance(obj, dict):
             raise ConfigError(where or "config", "expected an object")
         unknown = set(obj) - set(kinds)
-        if unknown:
+        if closed and unknown:
             raise ConfigError(name(sorted(unknown)[0]), "unknown field")
-        missing = set(kinds) - set(optional) - set(obj)
-        if missing:
-            raise ConfigError(name(sorted(missing)[0]), "missing required field")
         for key, kind in kinds.items():
             if key in obj:
                 kind(obj[key], name(key))
+            elif key not in optional:
+                raise ConfigError(name(key), "missing required field")
+    return check
+
+
+def _list(kind):
+    def check(items, where):
+        if not isinstance(items, list):
+            raise ConfigError(where, "expected a list")
+        for i, item in enumerate(items):
+            kind(item, f"{where}[{i}]")
     return check
 
 
@@ -85,6 +97,25 @@ _SHAPE = _object({
     "stage_dict": _STR,
     "output": _object(dict.fromkeys(_OUTPUTS, _STR), set(_OUTPUTS)),
 }, {"stage_dict", "output"})
+
+
+_NET = _object({"n": _INT, "q": _NUM,
+                "layers": _list(_list(_object({"w": _list(_NUM), "b": _NUM})))})
+_CERT = _object({"d": _INT, "r": _INT})
+# the fields of a report that certify_split reads, in the order it reads them
+REPORT_SHAPE = _object({
+    "g": _NET,
+    "residual_l2_sq": _NUM,
+    "m_prime": _INT,
+    "m_budget": _INT,
+    "epsilon": _NUM,
+    "trace": _object({"t0": _NUM, "picks": _list(_object({"t_after": _NUM, "gain": _NUM},
+                                                         closed=False))}),
+    "conservative_cert": _CERT,
+    "constructive_cert": _CERT,
+    "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False)},
+                     closed=False),
+}, closed=False)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from clipreg.netcore import (ClipregError, RepCert, RepNet, compose_parallel, net_from_dict,
                              net_to_dict, zero_net)
-from clipreg.measure import FunctionOracle, Quadrature, oracle_from_net, oracle_from_values
+from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element, invisibility_audit
 
 _STAGE_SEED_STRIDE = 7919
@@ -112,9 +112,9 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
                 budget: Budget, seed: int, threads: int = 1):
     """Best single dictionary step against the residual.
 
-    Returns (element, lambda, gain, adversary result).  The coefficient is the
-    clamped minimizer of ||residual - lam*h||^2; gain is the exact decrease
-    2*lam*<h,res> - lam^2*||h||^2 of that quadratic.
+    Returns (element, its values at the nodes, lambda, gain, adversary
+    result).  The coefficient is the clamped minimizer of ||residual - lam*h||^2;
+    gain is the exact decrease 2*lam*<h,res> - lam^2*||h||^2 of that quadratic.
     """
     rv = residual.values(quad)
 
@@ -123,9 +123,9 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
         c = float(np.dot(quad.weights, hv * rv))
         h2 = float(np.dot(quad.weights, hv * hv))
         if h2 < 1e-14:
-            return 0.0, 0.0
+            return net, hv, 0.0, 0.0
         lam = float(np.clip(c / h2, -spec.domain.q, spec.domain.q))
-        return lam, 2.0 * lam * c - lam * lam * h2
+        return net, hv, lam, 2.0 * lam * c - lam * lam * h2
 
     res = ascend(quad, spec, residual, budget, seed, threads=threads)
     # polish: the correlation maximizer points along the residual but may fit
@@ -134,11 +134,9 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
     polish_budget = replace(budget, restarts=max(8, budget.restarts // 4))
     polished = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
                                  threads=threads, warm_start=res.witness)
-    best_net, best_lam, best_gain = res.witness, *realized(res.witness)
-    lam_p, gain_p = realized(polished)
-    if gain_p > best_gain:
-        best_net, best_lam, best_gain = polished, lam_p, gain_p
-    return best_net, best_lam, best_gain, res
+    # the polished pick must gain strictly more; max keeps the first on ties
+    best = max(realized(res.witness), realized(polished), key=lambda pick: pick[3])
+    return (*best, res)
 
 
 def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: float,
@@ -172,13 +170,12 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
         else:
             stage_spec = spec
         residual = oracle_from_values(quad, resvals, f"residual-stage-{k}")
-        element, lam, gain, _ = stage_solve(
+        element, hv, lam, gain, _ = stage_solve(
             quad, stage_spec, residual, budget, seed + _STAGE_SEED_STRIDE * k, threads=threads)
         if gain <= eps_sq:  # strict improvement required; ties reject
             budget_exhausted = False
             break
         t_current -= gain
-        hv = oracle_from_net(element).values(quad)
         resvals = resvals - lam * hv
         elements.append(element)
         lambdas.append(lam)

@@ -8,7 +8,6 @@ energy trace then holds exactly, not up to sampling noise.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,9 @@ from clipreg.netcore import ClipregError, DomainSpec, RepNet
 SCHEMES = ("tensor-grid", "low-discrepancy", "seeded-uniform")
 _TENSOR_GRID_MAX_DIM = 4
 _SOBOL_BITS = 30
-_MAX_NODES = 2 ** _SOBOL_BITS  # every scheme: the most points a 30-bit Sobol sequence has
+_SOBOL_MAX_POINTS = 2 ** _SOBOL_BITS  # the most points a 30-bit Sobol sequence has
+# the largest float64 array any scheme may allocate: 2**30 values, 8 GiB
+_MAX_BYTES = 8 * 2 ** 30
 # Joe & Kuo's direction numbers (SIAM J. Sci. Comput. 2008), the table scipy ships
 _SOBOL_TABLE = Path(__file__).with_name("_sobol_direction_numbers.npz")
 _SOBOL_MAX_DIM = 21201  # rows of the table
@@ -116,7 +117,8 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
     tensor-grid: Gauss-Legendre with `size` nodes per axis (n <= 4 only).
     low-discrepancy: first `size` points of a seeded scrambled Sobol sequence.
     seeded-uniform: pseudo-random uniform points, equal weights.
-    Every scheme has at most 2**30 nodes, checked before anything is allocated.
+    The largest array each scheme allocates is checked against 8 GiB before
+    anything is allocated, and a Sobol sequence has at most 2**30 points.
     """
     if scheme not in SCHEMES:
         raise MeasureError(f"unknown quadrature scheme {scheme!r}; expected one of {SCHEMES}",
@@ -129,10 +131,16 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
     if scheme == "low-discrepancy" and spec.n > _SOBOL_MAX_DIM:
         raise MeasureError(f"low-discrepancy rejected for n={spec.n} > {_SOBOL_MAX_DIM} "
                            "(the Sobol direction numbers end there)", "scheme")
-    count = size ** spec.n if scheme == "tensor-grid" else size
-    if count > _MAX_NODES:
-        raise MeasureError(f"{scheme} with size {size} needs {count} nodes, "
-                           f"more than 2**{_SOBOL_BITS}", "size")
+    if scheme == "low-discrepancy" and size > _SOBOL_MAX_POINTS:
+        raise MeasureError(f"low-discrepancy with size {size} exceeds the 2**{_SOBOL_BITS} "
+                           "points of the Sobol sequence", "size")
+    # tensor grid: the size x size Gauss-Legendre companion matrix or the
+    # nodes; sampled schemes: the nodes
+    largest = 8 * (max(size * size, size ** spec.n * spec.n) if scheme == "tensor-grid"
+                   else size * spec.n)
+    if largest > _MAX_BYTES:
+        raise MeasureError(f"{scheme} with size {size} at n={spec.n} needs a {largest}-byte "
+                           f"array, more than {_MAX_BYTES}", "size")
     if scheme == "tensor-grid":
         x, w = np.polynomial.legendre.leggauss(size)
         w = w / 2.0  # normalize per axis: weights on [-1,1] sum to 2
@@ -216,11 +224,3 @@ def l2_norm_sq(quad: Quadrature, f: FunctionOracle) -> float:
 def sigma_l1(quad: Quadrature, f: FunctionOracle, g: FunctionOracle) -> float:
     """Normalized L1 distance; exact metric at the quadrature level."""
     return float(np.dot(quad.weights, np.abs(f.values(quad) - g.values(quad))))
-
-
-def export_nodes_csv(quad: Quadrature, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(quad.n)] + ["weight"])
-        for node, w in zip(quad.nodes, quad.weights):
-            writer.writerow([repr(float(x)) for x in node] + [repr(float(w))])

@@ -48,18 +48,6 @@ class DomainSpec:
         return width * self.q + 1.0
 
 
-@dataclass(frozen=True)
-class ClipUnit:
-    """One rectified affine neuron: w -> beta(<w, weights> + bias)."""
-
-    weights: tuple
-    bias: float
-
-    @property
-    def d_in(self) -> int:
-        return len(self.weights)
-
-
 def beta(z):
     """Saturating identity: -1 below -1, identity on [-1,1], 1 above."""
     z = np.asarray(z, dtype=np.float64)
@@ -93,9 +81,6 @@ class Layer:
     @property
     def d_out(self) -> int:
         return self.W.shape[0]
-
-    def units(self):
-        return [ClipUnit(tuple(self.W[j]), float(self.b[j])) for j in range(self.d_out)]
 
 
 @dataclass(frozen=True)
@@ -178,26 +163,6 @@ class RepNet:
         for layer in self.layers:
             A = np.clip(A @ layer.W.T + layer.b, -1.0, 1.0)
         return A[:, 0]
-
-    def __call__(self, w) -> float:
-        return eval_net(self, w)
-
-
-def eval_unit(u: ClipUnit, w) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (u.d_in,):
-        raise NetError(f"point dimension {w.shape} != unit input width {u.d_in}")
-    acc = 0.0
-    for i in range(u.d_in):  # fixed input-index accumulation order
-        acc += w[i] * u.weights[i]
-    return beta(acc + u.bias)
-
-
-def eval_net(net: RepNet, w) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (net.n,):
-        raise NetError(f"point dimension {w.shape} != net input width {net.n}")
-    return float(net.eval_batch(w[None, :])[0])
 
 
 def _identity_layer(width: int) -> Layer:

@@ -3,6 +3,7 @@ import pytest
 
 from clipreg.adversary import (
     _CHUNK,
+    _SEARCH_NODES,
     AdversaryError,
     Budget,
     DictSpec,
@@ -247,4 +248,19 @@ class TestThreads:
         a, b = (best_gain_element(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
                 for t in (1, 2))
         for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+
+    def test_ascend_on_drawn_subsample(self, dom2):
+        # above _SEARCH_NODES seeded-uniform nodes the search runs on a random
+        # subsample; the value is still the full-quadrature score
+        quad = build_quadrature(dom2, "seeded-uniform", 2 * _SEARCH_NODES, seed=4)
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        budget = Budget(restarts=_CHUNK // 2 + 8, iterations=30)
+        a, b = (ascend(quad, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+                for t in (1, 2))
+        assert a.value == pytest.approx(
+            abs(inner(quad, oracle_from_net(a.witness), f)), abs=1e-12)
+        assert a.value == b.value
+        assert a.per_restart_values == b.per_restart_values
+        for la, lb in zip(a.witness.layers, b.witness.layers):
             assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)

@@ -12,6 +12,7 @@ from clipreg.decomposer import (
     certify_split,
     decompose,
     m_budget_for,
+    stage_solve,
 )
 from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
 from clipreg.netcore import DomainSpec, RepCert, net_from_dict
@@ -54,6 +55,16 @@ class TestMBudget:
         m = m_budget_for(eps)
         assert m >= 1.0 / eps ** 2 - 1e-9
         assert m - 1 < 1.0 / eps ** 2
+
+
+class TestStageSolve:
+    # the growing dictionary's stage specs at k = 2, 3 from (2|1)
+    @pytest.mark.parametrize("d, r", [(4, 2), (8, 3)])
+    def test_values_are_eval_batch_bits(self, dom2, quad2, d, r):
+        f = zoo("sign-product", {}, dom2)
+        element, values, _, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f,
+                                               Budget(8, 30), seed=d)
+        assert np.array_equal(values, element.eval_batch(quad2.nodes))
 
 
 class TestDecompose:

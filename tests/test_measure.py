@@ -1,4 +1,3 @@
-import csv
 import subprocess
 import sys
 import warnings
@@ -8,11 +7,11 @@ import numpy as np
 import pytest
 
 import clipreg
+from clipreg import measure
 from clipreg.measure import (
     FunctionOracle,
     MeasureError,
     build_quadrature,
-    export_nodes_csv,
     inner,
     l2_norm_sq,
     oracle_from_values,
@@ -60,6 +59,24 @@ class TestBuildQuadrature:
         for scheme in ("tensor-grid", "low-discrepancy", "seeded-uniform"):
             q = build_quadrature(dom2, scheme, 64, seed=2)
             assert np.max(np.abs(q.nodes)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n, scheme, size", [
+        (1, "tensor-grid", 100_000),           # the size x size companion matrix
+        (2, "tensor-grid", 30_000),            # 2 * 30000**2 node coordinates
+        (2, "low-discrepancy", 2 ** 30),       # 2**31 node coordinates
+        (2, "seeded-uniform", 2 ** 30),
+        (1, "low-discrepancy", 2 ** 30 + 1),   # past the end of the Sobol sequence
+    ])
+    def test_oversized_rejected_before_allocating(self, monkeypatch, n, scheme, size):
+        def allocate(*args, **kwargs):
+            raise AssertionError("build_quadrature started allocating")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", allocate)
+        monkeypatch.setattr(measure, "_sobol", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        with pytest.raises(MeasureError) as exc:
+            build_quadrature(DomainSpec(n, 1.0), scheme, size)
+        assert exc.value.param == "size"
 
 
 class TestSobol:
@@ -181,13 +198,3 @@ class TestFunctionOracle:
         with pytest.raises(MeasureError):
             f.values(quad2)
 
-
-def test_node_csv_export(tmp_path, quad2):
-    path = tmp_path / "nodes.csv"
-    export_nodes_csv(quad2, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x0", "x1", "weight"]
-    assert len(rows) == quad2.size + 1
-    total = sum(float(r[-1]) for r in rows[1:])
-    assert total == pytest.approx(1.0, abs=1e-9)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipreg.netcore import (
-    ClipUnit,
     DomainSpec,
     Layer,
     NetError,
@@ -15,8 +14,6 @@ from clipreg.netcore import (
     RepNet,
     beta,
     compose_parallel,
-    eval_net,
-    eval_unit,
     net_from_dict,
     net_to_dict,
     pad_depth,
@@ -51,45 +48,60 @@ class TestBeta:
         assert -1.0 <= beta(z) <= 1.0
 
 
+def eval_at(net, w):
+    """The net's value at one point, through eval_batch on a (1, n) batch."""
+    return float(net.eval_batch(np.asarray(w, dtype=np.float64)[None, :])[0])
+
+
+def unit_net(weights, bias):
+    """One clip unit w -> beta(<weights, w> + bias) as a single-layer net."""
+    return RepNet(DomainSpec(len(weights), 1.0),
+                  (Layer(np.array([weights], dtype=np.float64), np.array([bias])),))
+
+
 class TestEvalUnit:
     def test_projection(self):
-        u = ClipUnit((1.0, 0.0), 0.0)
-        assert eval_unit(u, np.array([0.3, 0.9])) == pytest.approx(0.3)
+        assert eval_at(unit_net((1.0, 0.0), 0.0), [0.3, 0.9]) == pytest.approx(0.3)
 
     def test_clips_large_argument(self):
-        u = ClipUnit((1.0, 1.0), 0.5)
-        assert eval_unit(u, np.array([0.4, 0.4])) == 1.0
+        assert eval_at(unit_net((1.0, 1.0), 0.5), [0.4, 0.4]) == 1.0
 
     def test_constant_unit(self):
-        u = ClipUnit((0.0, 0.0), -0.25)
-        assert eval_unit(u, np.array([0.7, -0.2])) == -0.25
+        assert eval_at(unit_net((0.0, 0.0), -0.25), [0.7, -0.2]) == -0.25
 
     def test_dimension_mismatch(self):
         with pytest.raises(NetError):
-            eval_unit(ClipUnit((1.0,), 0.0), np.array([0.1, 0.2]))
+            eval_at(unit_net((1.0,), 0.0), [0.1, 0.2])
 
     def test_lipschitz_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             w = rng.uniform(-1, 1, 3)
-            u = ClipUnit(tuple(w), float(rng.uniform(-1, 1)))
+            u = unit_net(tuple(w), float(rng.uniform(-1, 1)))
             a, b = rng.uniform(-1, 1, (2, 3))
             bound = np.sum(np.abs(w)) * np.max(np.abs(a - b))
-            assert abs(eval_unit(u, a) - eval_unit(u, b)) <= bound + 1e-12
+            assert abs(eval_at(u, a) - eval_at(u, b)) <= bound + 1e-12
 
 
 def straight_line_eval(net, w):
-    # independent oracle: unrolls the chain unit by unit via eval_unit
-    vec = np.asarray(w, dtype=np.float64)
+    # independent oracle: unrolls the chain unit by unit, summing each unit's
+    # inputs in a fixed order
+    vec = [float(x) for x in w]
     for layer in net.layers:
-        vec = np.array([eval_unit(u, vec) for u in layer.units()])
-    return float(vec[0])
+        out = []
+        for weights, bias in zip(layer.W, layer.b):
+            acc = 0.0
+            for wi, xi in zip(weights, vec):
+                acc += wi * xi
+            out.append(min(1.0, max(-1.0, acc + bias)))
+        vec = out
+    return vec[0]
 
 
 class TestEvalNet:
     def test_projection_chain(self, dom2):
         net = RepNet(dom2, (Layer(np.array([[1.0, 0.0]]), np.zeros(1)),))
-        assert eval_net(net, np.array([0.7, -0.3])) == pytest.approx(0.7)
+        assert eval_at(net, [0.7, -0.3]) == pytest.approx(0.7)
 
     def test_constant_propagation(self, dom2):
         # constant first layer, pass-through second layer
@@ -98,7 +110,7 @@ class TestEvalNet:
             Layer(np.array([[1.0]]), np.zeros(1)),
         ))
         for w in ([0.0, 0.0], [0.9, -0.9]):
-            assert eval_net(net, np.array(w)) == pytest.approx(0.4)
+            assert eval_at(net, w) == pytest.approx(0.4)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(42)
@@ -106,12 +118,12 @@ class TestEvalNet:
         for _ in range(25):
             net = random_net(rng, dom)
             w = rng.uniform(-1, 1, 4)
-            assert eval_net(net, w) == pytest.approx(straight_line_eval(net, w), abs=1e-12)
+            assert eval_at(net, w) == pytest.approx(straight_line_eval(net, w), abs=1e-12)
 
     def test_dimension_mismatch(self, dom2):
         net = zero_net(dom2)
         with pytest.raises(NetError):
-            eval_net(net, np.array([0.1, 0.2, 0.3]))
+            net.eval_batch(np.array([[0.1, 0.2, 0.3]]))
 
     def test_range_bound(self):
         rng = np.random.default_rng(7)
@@ -251,5 +263,5 @@ def test_net_lipschitz_sampled_pairs(seed, n):
     for layer in net.layers:
         const *= np.max(np.sum(np.abs(layer.W), axis=1))
     a, b = rng.uniform(-1, 1, (2, n))
-    lhs = abs(eval_net(net, a) - eval_net(net, b))
+    lhs = abs(eval_at(net, a) - eval_at(net, b))
     assert lhs <= const * np.max(np.abs(a - b)) + 1e-10

@@ -64,6 +64,10 @@ BAD_FIELDS = [
     pytest.param("quadrature.size",
                  {"quadrature": {"scheme": "tensor-grid", "size": 100000, "seed": 0}},
                  id="tensor-grid-over-2pow30-nodes"),
+    pytest.param("quadrature.size",
+                 {"domain": {"n": 1, "q": 1.0},
+                  "quadrature": {"scheme": "tensor-grid", "size": 100000, "seed": 0}},
+                 id="tensor-grid-n1-companion"),
     pytest.param("stage_dict", {"stage_dict": "shrinking"}, id="unknown-stage-dict"),
     pytest.param("output.trace", {"output": {"trace": 5}}, id="trace-int"),
 ]
@@ -203,6 +207,20 @@ class TestCliDecompose:
         assert "epsilon" in capsys.readouterr().err
 
 
+NET = {"n": 2, "q": 1.0, "layers": [[{"w": [0.0, 0.0], "b": 0.0}]]}
+# every field certify_split reads, each of the right JSON type
+SHAPED_REPORT = {
+    "config_echo": {}, "g": NET, "residual_l2_sq": 0.0, "m_prime": 0, "m_budget": 4,
+    "epsilon": 0.5, "trace": {"t0": 0.0, "picks": []},
+    "conservative_cert": {"d": 2, "r": 1}, "constructive_cert": {"d": 1, "r": 0},
+    "audit": {"result": {"value": 0.0, "witness": NET}},
+}
+
+
+def shaped(**changes):
+    return json.dumps({**SHAPED_REPORT, **changes})
+
+
 class TestCliVerify:
     def test_verify_written_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -241,7 +259,19 @@ class TestCliVerify:
         ('{"config_echo": []}', "config_echo.domain"),
         ('{"config_echo": {"domain": 5}}', "config_echo.domain"),
         ('{"config_echo": {"domain": {"n": 0}}}', "config_echo.domain.n"),
-    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero"])
+        ('{"config_echo": {}, "g": []}', "'g'"),
+        ('{"config_echo": {}, "g": {"n": 2, "q": 1.0, "layers": "ab"}}', "'g.layers'"),
+        (shaped(g={**NET, "layers": [[{"w": "x", "b": 0.0}]]}), "'g.layers[0][0].w'"),
+        (shaped(m_prime=True), "'m_prime'"),
+        (shaped(epsilon=math.nan), "'epsilon'"),
+        (shaped(trace={"t0": 0.0, "picks": {}}), "'trace.picks'"),
+        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": "big"}]}),
+         "'trace.picks[0].gain'"),
+        (shaped(constructive_cert={"d": 1}), "'constructive_cert.r'"),
+        (shaped(audit={"result": {"value": None, "witness": NET}}), "'audit.result.value'"),
+    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero",
+            "g-list", "layers-string", "unit-w-string", "m-prime-bool", "epsilon-nan",
+            "picks-object", "gain-string", "cert-no-r", "audit-value-null"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
