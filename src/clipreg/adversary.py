@@ -180,13 +180,14 @@ def _ascend_chunk(X, objective, Ws, bs, q, bias_bounds, budget: Budget):
     Ws[l]: (B, out, in); bs[l]: (B, out), updated in place.  `objective(h)`
     returns the per-entry value (B,) and its gradient coefficients dJ/dh
     (B, N).  Returns per-entry best objective and the parameters achieving
-    it.  Every buffer belongs to this call, so chunks can run concurrently.
+    it.  Every buffer belongs to this call, so chunks can run concurrently,
+    and takes the dtype of X, which the parameters and objective share.
     """
     B, N = len(bs[0]), len(X)
-    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N)) for W in Ws] for _ in range(4))
+    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N), X.dtype) for W in Ws] for _ in range(4))
     masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    best_obj = np.full(B, -np.inf)
+    best_obj = np.full(B, -np.inf, X.dtype)
     best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
     step = budget.step0
     for it in range(budget.iterations + 1):
@@ -238,9 +239,11 @@ def _multistart(X, spec: DictSpec, entry_inits, make_objective, budget: Budget,
     """Run chunked multi-start ascent at the search nodes X; returns per-entry
     best params stacked.
 
-    `make_objective(lo, hi)` builds the batched objective for entries
-    [lo, hi).  Chunks have a fixed size, so results are byte-identical for
-    any worker count.
+    The search runs in float32: it only chooses which nets get rescored in
+    float64 on the full quadrature.  The returned params are float64, clipped
+    again to the boxes, since float32(q) may exceed q.  `make_objective(lo,
+    hi)` builds the float32 objective for entries [lo, hi).  Chunks have a
+    fixed size, so results are byte-identical for any worker count.
     """
     widths = spec.arch()
     L = len(widths) - 1
@@ -248,30 +251,58 @@ def _multistart(X, spec: DictSpec, entry_inits, make_objective, budget: Budget,
     bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
     n_entries = len(entry_inits)
     n_chunks = (n_entries + _CHUNK - 1) // _CHUNK
+    X = X.astype(np.float32)
+    Ws0 = [np.stack([init[0][l] for init in entry_inits], dtype=np.float32) for l in range(L)]
+    bs0 = [np.stack([init[1][l] for init in entry_inits], dtype=np.float32) for l in range(L)]
 
     def run_chunk(ci):
         lo = ci * _CHUNK
         hi = min(lo + _CHUNK, n_entries)
-        Ws = [np.stack([entry_inits[e][0][l] for e in range(lo, hi)]) for l in range(L)]
-        bs = [np.stack([entry_inits[e][1][l] for e in range(lo, hi)]) for l in range(L)]
-        return ci, _ascend_chunk(X, make_objective(lo, hi), Ws, bs, q, bias_bounds, budget)
+        return ci, _ascend_chunk(X, make_objective(lo, hi), [W[lo:hi] for W in Ws0],
+                                 [b[lo:hi] for b in bs0], q, bias_bounds, budget)
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = dict(pool.map(run_chunk, range(n_chunks)))
     else:
         results = dict(run_chunk(ci) for ci in range(n_chunks))
-    Ws_all = [np.concatenate([results[ci][1][l] for ci in range(n_chunks)])
+    Ws_all = [np.clip(np.concatenate([results[ci][1][l] for ci in range(n_chunks)],
+                                     dtype=np.float64), -q, q)
               for l in range(L)]
-    bs_all = [np.concatenate([results[ci][2][l] for ci in range(n_chunks)])
-              for l in range(L)]
+    bs_all = [np.clip(np.concatenate([results[ci][2][l] for ci in range(n_chunks)],
+                                     dtype=np.float64), -bound, bound)
+              for l, bound in enumerate(bias_bounds)]
     return Ws_all, bs_all
 
 
 def _forward_all(X, Ws, bs):
-    """Full-quadrature forward pass for a stack of parameter sets: (E, N)."""
-    bufs = [np.empty((len(b), b.shape[1], len(X))) for b in bs]
-    return _forward(X, Ws, bs, bufs, bufs)  # each layer clips in place
+    """Full-quadrature forward pass for a stack of parameter sets: (E, N).
+
+    Each layer clips in place and reads only the layer before it, so two
+    buffers take turns: even layers use one, odd layers the other.
+    """
+    E, N = len(bs[0]), len(X)
+    widths = [b.shape[1] for b in bs]
+    pair = [np.empty(E * max(widths[k::2], default=0) * N) for k in (0, 1)]
+    bufs = [pair[l % 2][:E * w * N].reshape(E, w, N) for l, w in enumerate(widths)]
+    return _forward(X, Ws, bs, bufs, bufs)
+
+
+def _rescore(quad: Quadrature, Ws, bs, score, warm):
+    """Full-quadrature scores `score(h)` of every searched entry.
+
+    The float32 search sees a warm start rounded, so its exact float64
+    params `warm` (the start of entry 0) are scored too and, when they score
+    strictly higher, replace entry 0's best in Ws and bs.
+    """
+    scores = score(_forward_all(quad.nodes, Ws, bs))
+    if warm is not None:
+        own = score(_forward_all(quad.nodes, *([a[None] for a in p] for p in warm)))[0]
+        if own > scores[0]:
+            scores[0] = own
+            for A, a in zip(Ws + bs, warm[0] + warm[1]):
+                A[0] = a
+    return scores
 
 
 def _entry_net(spec: DictSpec, Ws, bs, e: int) -> RepNet:
@@ -292,23 +323,24 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
 
     # batch entries: (restart 0, +), (restart 0, -), (restart 1, +), ...
     inits = [_init_params(spec, i, seed) for i in range(R)]
-    if warm_start is not None:
-        inits[0] = _embed_params(warm_start, spec)
-    signs = np.array([+1.0, -1.0] * R)
+    warm = None if warm_start is None else _embed_params(warm_start, spec)
+    if warm is not None:
+        inits[0] = warm
+    signs = np.array([+1.0, -1.0] * R, dtype=np.float32)
     entry_inits = [inits[e // 2] for e in range(2 * R)]
 
     X, ws, idx = _search_sample(quad)
-    base_c = ws * tvals[idx]
+    base_c = (ws * tvals[idx]).astype(np.float32)
 
     def make_objective(lo, hi):
         return _objective_linear(signs[lo:hi, None] * base_c[None, :])
 
     Ws, bs = _multistart(X, spec, entry_inits, make_objective, budget, threads)
 
-    # score every entry's best iterate on the full quadrature
-    h = _forward_all(quad.nodes, Ws, bs)
-    corr = h @ (quad.weights * tvals)
-    scores = np.abs(corr)
+    # score every entry's best iterate on the full quadrature; the warm start
+    # scores the same under both signs, so entry 0 alone carries it
+    wt = quad.weights * tvals
+    scores = _rescore(quad, Ws, bs, lambda h: np.abs(h @ wt), warm)
     per_restart = tuple(float(max(scores[2 * i], scores[2 * i + 1])) for i in range(R))
     winner = int(np.argmax(scores))  # first max: lower restart index, then +
     witness = _entry_net(spec, Ws, bs, winner)
@@ -333,18 +365,22 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     """
     rv = residual.values(quad)
     X, ws, idx = _search_sample(quad)
-    objective = _objective_gain(ws, rv[idx])
+    objective = _objective_gain(ws.astype(np.float32), rv[idx].astype(np.float32))
 
     inits = [_init_params(spec, i, seed) for i in range(budget.restarts)]
-    if warm_start is not None:
-        inits[0] = _embed_params(warm_start, spec)
+    warm = None if warm_start is None else _embed_params(warm_start, spec)
+    if warm is not None:
+        inits[0] = warm
 
     Ws, bs = _multistart(X, spec, inits, lambda lo, hi: objective, budget, threads)
 
-    h = _forward_all(quad.nodes, Ws, bs)
-    c = h @ (quad.weights * rv)
-    h2 = np.maximum((h * h) @ quad.weights, 1e-14)
-    gains = c * c / h2
+    wr = quad.weights * rv
+
+    def gain(h):
+        c = h @ wr
+        return c * c / np.maximum((h * h) @ quad.weights, 1e-14)
+
+    gains = _rescore(quad, Ws, bs, gain, warm)
     winner = int(np.argmax(gains))
     return _entry_net(spec, Ws, bs, winner)
 

@@ -16,7 +16,7 @@ from clipreg.config import REPORT_SHAPE, ConfigError, RunConfig, load_config, ow
 from clipreg.netcore import DomainSpec, NetError
 from clipreg.measure import MeasureError, build_quadrature
 from clipreg.adversary import ascend
-from clipreg.decomposer import certify_split, decompose
+from clipreg.decomposer import DecomposeError, certify_split, decompose
 from clipreg.zoo import ZOO, zoo
 
 TRACE_HEADER = ["k", "t_after", "lambda", "gain"]
@@ -148,7 +148,10 @@ def cmd_verify(args) -> int:
     except ConfigError as e:  # from REPORT_SHAPE
         return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
     quad, target, _ = _setup(cfg, domain)
-    verdict = certify_split(report, quad, target)
+    try:
+        verdict = certify_split(report, quad, target)
+    except DecomposeError as e:  # a well-typed field out of range
+        return _malformed_report(args.report, f"field {e.param!r}: {e}")
     for item in verdict["details"]:
         status = "ok" if item["ok"] else "FAILED"
         print(f"{item['check']}: {status}")

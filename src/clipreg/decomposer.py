@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clipreg.netcore import (ClipregError, RepCert, RepNet, compose_parallel, net_from_dict,
-                             net_to_dict, zero_net)
+from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
+                             net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element, invisibility_audit
 
@@ -214,13 +214,29 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
     )
 
 
+def _built(field: str, build, *args, **kwargs):
+    """Build a value from a report field; a range check that `build` fails
+    becomes a DecomposeError naming the field."""
+    try:
+        return build(*args, **kwargs)
+    except NetError as e:
+        raise DecomposeError(str(e), f"{field}.{e.param}" if e.param else field) from e
+
+
 def certify_split(report: dict, quad: Quadrature, f: FunctionOracle) -> dict:
     """Pure re-verification of a report in its written form (``to_dict()`` or
     the parsed ``report.json``): f = g + (f-g) at every node, stage bound,
-    monotone trace, certificate arithmetic, and the audit threshold."""
+    monotone trace, certificate arithmetic, and the audit threshold.
+
+    A field of the right JSON type but out of range (a net or certificate
+    that cannot be built, or g on another dimension than the quadrature)
+    raises DecomposeError naming the field."""
     checks = []
 
-    g = net_from_dict(report["g"])
+    if report["g"]["n"] != quad.n:
+        raise DecomposeError(f"net dimension {report['g']['n']} != quadrature dimension "
+                             f"{quad.n}", "g.n")
+    g = _built("g", net_from_dict, report["g"])
     gvals = g.eval_batch(quad.nodes)
     fvals = f.values(quad)
     diff = fvals - gvals
@@ -242,8 +258,8 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle) -> dict:
                    "every accepted gain > eps^2"))
     checks.append(("trace_t0", t0 <= 1.0 + 1e-9, f"t0={t0}"))
 
-    conservative = RepCert(**report["conservative_cert"])
-    constructive = RepCert(**report["constructive_cert"])
+    conservative = _built("conservative_cert", RepCert, **report["conservative_cert"])
+    constructive = _built("constructive_cert", RepCert, **report["constructive_cert"])
     checks.append(("cert_dominance", conservative.dominates(constructive),
                    f"{conservative} dominates {constructive}"))
     checks.append(("cert_constructive", g.satisfies(constructive),

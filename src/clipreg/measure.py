@@ -9,6 +9,7 @@ energy trace then holds exactly, not up to sampling noise.
 from __future__ import annotations
 
 import functools
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,13 +64,27 @@ class Quadrature:
         return self.nodes.shape[0]
 
 
+def _table_rows(member: str, n: int, columns: int = 1) -> np.ndarray:
+    """Rows [0, n) of the first `columns` columns of one array of the table.
+
+    Decompresses only the prefix of the member that holds them, not the whole
+    array.  Both arrays are stored column-major (`vinit` in Fortran order,
+    `poly` 1-D), so column j starts at value j * rows."""
+    with zipfile.ZipFile(_SOBOL_TABLE) as zf, zf.open(member + ".npy") as fh:
+        np.lib.format.read_magic(fh)  # the vendored file is format 1.0
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        rows = shape[0]
+        flat = np.frombuffer(fh.read(((columns - 1) * rows + n) * dtype.itemsize), dtype)
+    return np.stack([flat[j * rows:j * rows + n] for j in range(columns)], axis=1)
+
+
 @functools.cache
 def _sobol_directions(n: int) -> np.ndarray:
     """(n, 30) direction numbers of the first n Sobol dimensions, expanded from
     the table by the Bratley-Fox recurrence, as scipy's `_initialize_v` does."""
-    with np.load(_SOBOL_TABLE) as table:
-        poly, vinit = table["poly"][:n], table["vinit"][:n]
+    poly = _table_rows("poly", n)[:, 0]
     degree = np.frexp(poly.astype(np.float64))[1] - 1
+    vinit = _table_rows("vinit", n, max(1, int(degree.max())))
     v = np.ones((n, _SOBOL_BITS), dtype=np.uint32)  # dimension 0 has degree 0: all ones
     for m in range(1, int(degree.max()) + 1):  # not np.unique, which imports numpy.ma
         rows = np.flatnonzero(degree == m)

@@ -91,8 +91,9 @@ class RepCert:
     r: int
 
     def __post_init__(self):
-        if self.d < 1 or self.r < 0:
-            raise NetError(f"invalid certificate ({self.d}|{self.r})")
+        for param, ok in (("d", self.d >= 1), ("r", self.r >= 0)):
+            if not ok:
+                raise NetError(f"invalid certificate ({self.d}|{self.r})", param)
 
     def dominates(self, other: "RepCert") -> bool:
         return self.d >= other.d and self.r >= other.r
@@ -251,11 +252,14 @@ def net_to_dict(net: RepNet) -> dict:
 
 
 def net_from_dict(obj: dict) -> RepNet:
+    """Build a net from its dict; a value out of range raises a NetError
+    whose ``param`` names the key of ``obj`` at fault."""
     domain = DomainSpec(n=int(obj["n"]), q=float(obj["q"]))
-    layers = []
-    for units in obj["layers"]:
-        W = np.array([u["w"] for u in units], dtype=np.float64)
-        b = np.array([u["b"] for u in units], dtype=np.float64)
-        layers.append(Layer(W, b))
-    return RepNet(domain, tuple(layers))
+    try:
+        layers = [Layer(np.array([u["w"] for u in units], dtype=np.float64),
+                        np.array([u["b"] for u in units], dtype=np.float64))
+                  for units in obj["layers"]]
+        return RepNet(domain, tuple(layers))
+    except ValueError as e:  # ragged or empty rows, widths, weight and bias ranges
+        raise NetError(str(e), "layers") from e
 

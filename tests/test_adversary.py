@@ -105,6 +105,27 @@ class TestAscend:
         # the injected witness is iterate 0 of entry 0 and is always scored
         assert warm.value >= cold.value - 1e-12
 
+    def test_warm_start_scored_exactly(self, dom2, quad2):
+        # each net is both target and warm start, and a 1e-9 step cannot move
+        # it: the float32 search sees it rounded, so only the float64 rescore
+        # of its exact params keeps its own score
+        rng = np.random.default_rng(0)
+        spec = DictSpec(2, 1, dom2)
+        for trial in range(40):
+            net = RepNet(dom2, (Layer(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)),
+                                Layer(rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, 1))))
+            f = oracle_from_net(net)
+            res = ascend(quad2, spec, f, Budget(1, 1, step0=1e-9), seed=trial, warm_start=net)
+            assert res.value >= abs(inner(quad2, f, f)) - 1e-12
+
+    def test_weights_inside_box_when_q_not_float32(self, quad2):
+        # float32(1.1) > 1.1: the float32 search must not leak it into a witness
+        dom = DomainSpec(2, 1.1)
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        res = ascend(quad2, DictSpec(2, 1, dom), f, Budget(8, 60), seed=3)
+        assert max(np.abs(layer.W).max() for layer in res.witness.layers) <= dom.q
+        assert max(np.abs(layer.W).max() for layer in res.witness.layers) == dom.q
+
     def test_witness_respects_arch(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0], "lin")
         res = ascend(quad2, DictSpec(3, 2, dom2), f, Budget(4, 30), seed=1)
@@ -136,6 +157,15 @@ class TestBestGainElement:
             return c * c / h2
 
         assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9
+
+    def test_witnesses_are_float64(self, dom2, quad2):
+        f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
+        spec = DictSpec(2, 1, dom2)
+        corr = ascend(quad2, spec, f, Budget(4, 30), seed=1).witness
+        gain = best_gain_element(quad2, spec, f, Budget(4, 30), seed=2, warm_start=corr)
+        for net in (corr, gain):
+            for layer in net.layers:
+                assert layer.W.dtype == layer.b.dtype == np.float64
 
     def test_deterministic(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0] * X[:, 1], "prod")
@@ -185,9 +215,10 @@ class TestInvisibilityAudit:
 
 
 def kernel_step(X, Ws, bs, Gc):
-    """One forward and backward pass of the adversary kernel, on fresh buffers."""
+    """One forward and backward pass of the adversary kernel, on fresh buffers
+    of the dtype of X."""
     B, N = len(Gc), len(X)
-    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N)) for W in Ws] for _ in range(4))
+    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N), X.dtype) for W in Ws] for _ in range(4))
     masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     h = _forward(X, Ws, bs, Zs, As).copy()
@@ -216,6 +247,25 @@ class TestKernel:
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
         for got, ref in zip(gWs + gbs, gWs_ref + gbs_ref):
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_float32_step_matches_reference(self, widths):
+        # the search runs the kernel in float32; the reference runs in
+        # float64 on the same float32-rounded inputs
+        rng = np.random.default_rng(sum(widths))
+        B, N = 6, 300
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
+        Gc = rng.uniform(-1.0, 1.0, (B, N)).astype(np.float32)
+        h_ref, gWs_ref, gbs_ref = reference_step(
+            X.astype(np.float64), [W.astype(np.float64) for W in Ws],
+            [b.astype(np.float64) for b in bs], Gc.astype(np.float64))
+        h, gWs, gbs = kernel_step(X, Ws, bs, Gc)
+        for got in [h] + gWs + gbs:
+            assert got.dtype == np.float32
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-5)
+        for got, ref in zip(gWs + gbs, gWs_ref + gbs_ref):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * max(1.0, np.abs(ref).max()))
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_matches_eval_batch(self, widths):

@@ -269,9 +269,15 @@ class TestCliVerify:
          "'trace.picks[0].gain'"),
         (shaped(constructive_cert={"d": 1}), "'constructive_cert.r'"),
         (shaped(audit={"result": {"value": None, "witness": NET}}), "'audit.result.value'"),
+        (shaped(g={**NET, "n": 3}), "'g.n'"),
+        (shaped(constructive_cert={"d": 0, "r": 0}), "'constructive_cert.d'"),
+        (shaped(g={**NET, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
+        (shaped(g={**NET, "layers": [[{"w": [0.0, 0.0], "b": 0.0}, {"w": [0.0], "b": 0.0}],
+                                     [{"w": [0.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
     ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero",
             "g-list", "layers-string", "unit-w-string", "m-prime-bool", "epsilon-nan",
-            "picks-object", "gain-string", "cert-no-r", "audit-value-null"])
+            "picks-object", "gain-string", "cert-no-r", "audit-value-null",
+            "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
