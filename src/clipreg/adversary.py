@@ -120,17 +120,21 @@ def _embed_params(net: RepNet, spec: DictSpec):
     return Ws, bs
 
 
-def _objective_linear(C):
-    """J_b = sum_n C[b,n] h_b(x_n): plain weighted correlation."""
+def _objective_linear(weights, values):
+    """J_b = <h_b, c> with c = weights * values, a weighted correlation whose
+    gradient dJ/dh is c itself, shared by every entry."""
+    c = (weights * values).astype(np.float32)
+
     def eval_obj(h):
-        return np.einsum("bn,bn->b", C, h), C
+        return np.einsum("bn,n->b", h, c), c
     return eval_obj
 
 
-def _objective_gain(weights, resvals):
+def _objective_gain(weights, values):
     """J_b = <h,res>^2 / ||h||^2: the exact energy decrease of the optimally
     scaled (unclamped) pick; both quantities under the quadrature weights."""
-    wres = weights * resvals
+    weights = weights.astype(np.float32)
+    wres = weights * values.astype(np.float32)
 
     def eval_obj(h):
         c = h @ wres
@@ -140,6 +144,12 @@ def _objective_gain(weights, resvals):
             - ((c / h2) ** 2)[:, None] * (2.0 * weights[None, :] * h)
         return obj, G
     return eval_obj
+
+
+def _gain(h, weights, values):
+    """<h, values>^2 / ||h||^2 per entry, the float64 score of `_objective_gain`."""
+    c = h @ (weights * values)
+    return c * c / np.maximum((h * h) @ weights, 1e-14)
 
 
 def _forward(X, Ws, bs, Zs, As):
@@ -158,11 +168,11 @@ def _forward(X, Ws, bs, Zs, As):
 
 
 def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
-    """Backpropagate dJ/dh = Gc (B, N) through the pass `_forward` left in Zs
-    and As, writing dJ/dW into gWs and dJ/db into gbs.  masks, dZs and Gs
-    are scratch buffers shaped like Zs."""
+    """Backpropagate dJ/dh = Gc, (B, N) or one (N,) row for every entry,
+    through the pass `_forward` left in Zs and As, writing dJ/dW into gWs and
+    dJ/db into gbs.  masks, dZs and Gs are scratch buffers shaped like Zs."""
     inputs = [X.T] + As[:-1]
-    G = Gc[:, None, :]
+    G = Gc[..., None, :]
     for l in range(len(Ws) - 1, -1, -1):
         # Z == A exactly where the clip is inactive, kinks included;
         # the subgradient there is 1 (the interior value), 0 outside
@@ -174,18 +184,25 @@ def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
             G = np.matmul(Ws[l].transpose(0, 2, 1), dZ, out=Gs[l - 1])
 
 
-def _ascend_chunk(X, objective, Ws, bs, q, bias_bounds, budget: Budget):
+def _buffers(Ws, N: int, dtype):
+    """The kernel's scratch for the stack Ws at N nodes: per layer Zs, As,
+    dZs and Gs, each (B, out, N), and the clip masks."""
+    Zs, As, dZs, Gs = ([np.empty((len(W), W.shape[1], N), dtype) for W in Ws] for _ in range(4))
+    return Zs, As, dZs, Gs, [np.empty(Z.shape, dtype=bool) for Z in Zs]
+
+
+def _ascend_chunk(X, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
     """Ascend a chunk of parameter sets on a batched objective of h.
 
-    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place.  `objective(h)`
-    returns the per-entry value (B,) and its gradient coefficients dJ/dh
-    (B, N).  Returns per-entry best objective and the parameters achieving
-    it.  Every buffer belongs to this call, so chunks can run concurrently,
-    and takes the dtype of X, which the parameters and objective share.
+    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: the
+    chunk's `_buffers`.  `objective(h)` returns the per-entry value (B,) and
+    its gradient coefficients dJ/dh, (B, N) or one (N,) row for every entry.
+    Returns per-entry best objective and the parameters achieving it.  No
+    two chunks share a buffer, so chunks can run concurrently; every array
+    takes the dtype of X, which the parameters and objective share.
     """
-    B, N = len(bs[0]), len(X)
-    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N), X.dtype) for W in Ws] for _ in range(4))
-    masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
+    B = len(bs[0])
+    Zs, As, dZs, Gs, masks = bufs
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     best_obj = np.full(B, -np.inf, X.dtype)
     best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
@@ -234,43 +251,39 @@ def _search_sample(quad: Quadrature):
     return quad.nodes[idx], w / w.sum(), idx
 
 
-def _multistart(X, spec: DictSpec, entry_inits, make_objective, budget: Budget,
-                threads: int):
-    """Run chunked multi-start ascent at the search nodes X; returns per-entry
-    best params stacked.
+def _multistart(X, spec: DictSpec, entry_inits, objective, budget: Budget, threads: int):
+    """Run chunked multi-start ascent of `objective` at the search nodes X;
+    returns per-entry best params stacked.
 
     The search runs in float32: it only chooses which nets get rescored in
     float64 on the full quadrature.  The returned params are float64, clipped
-    again to the boxes, since float32(q) may exceed q.  `make_objective(lo,
-    hi)` builds the float32 objective for entries [lo, hi).  Chunks have a
-    fixed size, so results are byte-identical for any worker count.
+    again to the boxes, since float32(q) may exceed q.  Chunks have a fixed
+    size, so results are byte-identical for any worker count.
     """
     widths = spec.arch()
     L = len(widths) - 1
     q = spec.domain.q
     bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
-    n_entries = len(entry_inits)
-    n_chunks = (n_entries + _CHUNK - 1) // _CHUNK
     X = X.astype(np.float32)
-    Ws0 = [np.stack([init[0][l] for init in entry_inits], dtype=np.float32) for l in range(L)]
-    bs0 = [np.stack([init[1][l] for init in entry_inits], dtype=np.float32) for l in range(L)]
+    Ws0, bs0 = ([np.stack([init[k][l] for init in entry_inits], dtype=np.float32)
+                 for l in range(L)] for k in (0, 1))
 
-    def run_chunk(ci):
-        lo = ci * _CHUNK
-        hi = min(lo + _CHUNK, n_entries)
-        return ci, _ascend_chunk(X, make_objective(lo, hi), [W[lo:hi] for W in Ws0],
-                                 [b[lo:hi] for b in bs0], q, bias_bounds, budget)
+    parts = [slice(lo, lo + _CHUNK) for lo in range(0, len(entry_inits), _CHUNK)]
+    # each chunk's buffers come from the calling thread: glibc keeps what a
+    # worker thread frees in that thread's arena, where the rescore that
+    # follows cannot reuse it
+    bufs = [_buffers([W[part] for W in Ws0], len(X), np.float32) for part in parts]
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = dict(run_chunk(ci) for ci in range(n_chunks))
-    Ws_all = [np.clip(np.concatenate([results[ci][1][l] for ci in range(n_chunks)],
-                                     dtype=np.float64), -q, q)
+    def run_chunk(part, buf):
+        return _ascend_chunk(X, objective, [W[part] for W in Ws0], [b[part] for b in bs0], buf,
+                             q, bias_bounds, budget)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(run_chunk, parts, bufs))
+    Ws_all = [np.clip(np.concatenate([c[1][l] for c in chunks], dtype=np.float64), -q, q)
               for l in range(L)]
-    bs_all = [np.clip(np.concatenate([results[ci][2][l] for ci in range(n_chunks)],
-                                     dtype=np.float64), -bound, bound)
+    bs_all = [np.clip(np.concatenate([c[2][l] for c in chunks], dtype=np.float64),
+                      -bound, bound)
               for l, bound in enumerate(bias_bounds)]
     return Ws_all, bs_all
 
@@ -288,26 +301,45 @@ def _forward_all(X, Ws, bs):
     return _forward(X, Ws, bs, bufs, bufs)
 
 
-def _rescore(quad: Quadrature, Ws, bs, score, warm):
-    """Full-quadrature scores `score(h)` of every searched entry.
+def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
+    """One start per restart, the warm start's exact params in restart 0's
+    place, and those params (None without a warm start)."""
+    starts = [_init_params(spec, i, seed) for i in range(budget.restarts)]
+    warm = None if warm_start is None else _embed_params(warm_start, spec)
+    if warm is not None:
+        starts[0] = warm
+    return starts, warm
+
+
+def _mirror(Ws, bs):
+    """The same params with the output unit negated: since the clip is odd
+    and the boxes are symmetric, the mirrored net computes -h."""
+    return Ws[:-1] + [-Ws[-1]], bs[:-1] + [-bs[-1]]
+
+
+def _search(quad: Quadrature, spec: DictSpec, values, objective, score, entry_inits, warm,
+            budget: Budget, threads: int):
+    """The search core: ascend `objective(weights, values)` from every entry
+    on the search subsample, score each entry's best iterate with
+    `score(h, weights, values)` on the full quadrature, and return the scores
+    (E,) and the first best entry's net.
 
     The float32 search sees a warm start rounded, so its exact float64
     params `warm` (the start of entry 0) are scored too and, when they score
-    strictly higher, replace entry 0's best in Ws and bs.
+    strictly higher, replace entry 0's best.
     """
-    scores = score(_forward_all(quad.nodes, Ws, bs))
+    X, ws, idx = _search_sample(quad)
+    Ws, bs = _multistart(X, spec, entry_inits, objective(ws, values[idx]), budget, threads)
+    scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
     if warm is not None:
-        own = score(_forward_all(quad.nodes, *([a[None] for a in p] for p in warm)))[0]
+        h = _forward_all(quad.nodes, *([a[None] for a in p] for p in warm))
+        own = score(h, quad.weights, values)[0]
         if own > scores[0]:
             scores[0] = own
             for A, a in zip(Ws + bs, warm[0] + warm[1]):
                 A[0] = a
-    return scores
-
-
-def _entry_net(spec: DictSpec, Ws, bs, e: int) -> RepNet:
-    layers = tuple(Layer(Ws[l][e], bs[l][e]) for l in range(len(Ws)))
-    return RepNet(spec.domain, layers)
+    e = int(np.argmax(scores))
+    return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
 
 
 def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
@@ -315,40 +347,23 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
            warm_start: RepNet | None = None) -> AdversaryResult:
     """Maximize |<h_theta, target>| over the (d|r) parameter box.
 
-    Per restart both sign objectives run; ties across restarts go to the
-    higher value, then the lower restart index.  Deterministic given seed.
+    The dictionary is closed under negation, so every restart ascends
+    <h, target> from a start and from its mirror; ties across restarts go to
+    the higher value, then the lower restart index.  Deterministic given seed.
     """
-    tvals = target.values(quad)
-    R = budget.restarts
-
-    # batch entries: (restart 0, +), (restart 0, -), (restart 1, +), ...
-    inits = [_init_params(spec, i, seed) for i in range(R)]
-    warm = None if warm_start is None else _embed_params(warm_start, spec)
-    if warm is not None:
-        inits[0] = warm
-    signs = np.array([+1.0, -1.0] * R, dtype=np.float32)
-    entry_inits = [inits[e // 2] for e in range(2 * R)]
-
-    X, ws, idx = _search_sample(quad)
-    base_c = (ws * tvals[idx]).astype(np.float32)
-
-    def make_objective(lo, hi):
-        return _objective_linear(signs[lo:hi, None] * base_c[None, :])
-
-    Ws, bs = _multistart(X, spec, entry_inits, make_objective, budget, threads)
-
-    # score every entry's best iterate on the full quadrature; the warm start
-    # scores the same under both signs, so entry 0 alone carries it
-    wt = quad.weights * tvals
-    scores = _rescore(quad, Ws, bs, lambda h: np.abs(h @ wt), warm)
-    per_restart = tuple(float(max(scores[2 * i], scores[2 * i + 1])) for i in range(R))
-    winner = int(np.argmax(scores))  # first max: lower restart index, then +
-    witness = _entry_net(spec, Ws, bs, winner)
+    starts, warm = _starts(spec, budget, seed, warm_start)
+    # entries: restart 0, its mirror, restart 1, its mirror, ...
+    entry_inits = [p for start in starts for p in (start, _mirror(*start))]
+    # |<h, target>| scores a net and its mirror alike, so entry 0 alone
+    # carries a warm start, and a tie goes to the start before its mirror
+    scores, witness = _search(quad, spec, target.values(quad), _objective_linear,
+                              lambda h, w, v: np.abs(h @ (w * v)), entry_inits, warm, budget,
+                              threads)
     return AdversaryResult(
-        value=float(scores[winner]),
+        value=float(scores.max()),
         witness=witness,
-        restarts_run=R,
-        per_restart_values=per_restart,
+        restarts_run=budget.restarts,
+        per_restart_values=tuple(float(v) for v in scores.reshape(-1, 2).max(axis=1)),
         seed=seed,
         budget=budget,
     )
@@ -361,28 +376,12 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
 
     Polishes the plain correlation maximizer for the decomposition stages:
     the gain objective prefers elements that also FIT the residual, not just
-    point in its direction.  Sign-invariant, so restarts are not duplicated.
+    point in its direction.  A start and its mirror ascend the same gain, so
+    each restart runs from its start alone.
     """
-    rv = residual.values(quad)
-    X, ws, idx = _search_sample(quad)
-    objective = _objective_gain(ws.astype(np.float32), rv[idx].astype(np.float32))
-
-    inits = [_init_params(spec, i, seed) for i in range(budget.restarts)]
-    warm = None if warm_start is None else _embed_params(warm_start, spec)
-    if warm is not None:
-        inits[0] = warm
-
-    Ws, bs = _multistart(X, spec, inits, lambda lo, hi: objective, budget, threads)
-
-    wr = quad.weights * rv
-
-    def gain(h):
-        c = h @ wr
-        return c * c / np.maximum((h * h) @ quad.weights, 1e-14)
-
-    gains = _rescore(quad, Ws, bs, gain, warm)
-    winner = int(np.argmax(gains))
-    return _entry_net(spec, Ws, bs, winner)
+    starts, warm = _starts(spec, budget, seed, warm_start)
+    return _search(quad, spec, residual.values(quad), _objective_gain, _gain, starts, warm,
+                   budget, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,
@@ -390,7 +389,8 @@ def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOra
              warm_start: RepNet | None = None) -> AdversaryResult:
     """Lower-bound estimate of the observer metric between f and g.
 
-    Symmetric in (f, g) because both sign objectives run for every restart.
+    Symmetric in (f, g): every restart ascends from a start and its mirror,
+    and swapping f and g swaps the two.
     """
     diff = oracle_from_values(quad, f.values(quad) - g.values(quad), "difference")
     return ascend(quad, spec, diff, budget, seed, threads=threads, warm_start=warm_start)

@@ -69,7 +69,7 @@ def cmd_decompose(args) -> int:
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
     if args.verify:
-        verdict = certify_split(written, quad, target)
+        verdict = certify_split(written, quad, target, cfg.domain.q)
         if not verdict["ok"]:
             for item in verdict["details"]:
                 if not item["ok"]:
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
         return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
     quad, target, _ = _setup(cfg, domain)
     try:
-        verdict = certify_split(report, quad, target)
+        verdict = certify_split(report, quad, target, domain.q)
     except DecomposeError as e:  # a well-typed field out of range
         return _malformed_report(args.report, f"field {e.param!r}: {e}")
     for item in verdict["details"]:
@@ -158,6 +158,13 @@ def cmd_verify(args) -> int:
         if not item["ok"]:
             print(f"  {item['detail']}", file=sys.stderr)
     return 0 if verdict["ok"] else 1
+
+
+def _threads(text: str) -> int:
+    # every witness search runs on a thread pool of this many workers
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,19 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="run the energy-increment decomposition")
     p.add_argument("--config", required=True)
     p.add_argument("--verify", action="store_true", help="re-verify the report after the run")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("adversary", help="witness search against the configured target")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("sweep", help="repeat the decomposition over input dimensions")
     p.add_argument("--config", required=True)
     p.add_argument("--n", required=True, help="comma-separated dimensions, e.g. 2,4,8,16")
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("zoo", help="target zoo utilities")

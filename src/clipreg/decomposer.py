@@ -223,19 +223,22 @@ def _built(field: str, build, *args, **kwargs):
         raise DecomposeError(str(e), f"{field}.{e.param}" if e.param else field) from e
 
 
-def certify_split(report: dict, quad: Quadrature, f: FunctionOracle) -> dict:
+def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -> dict:
     """Pure re-verification of a report in its written form (``to_dict()`` or
     the parsed ``report.json``): f = g + (f-g) at every node, stage bound,
     monotone trace, certificate arithmetic, and the audit threshold.
 
     A field of the right JSON type but out of range (a net or certificate
-    that cannot be built, or g on another dimension than the quadrature)
-    raises DecomposeError naming the field."""
+    that cannot be built, or g on another dimension than the quadrature or
+    in another weight box than [-q, q]) raises DecomposeError naming the
+    field."""
     checks = []
 
     if report["g"]["n"] != quad.n:
         raise DecomposeError(f"net dimension {report['g']['n']} != quadrature dimension "
                              f"{quad.n}", "g.n")
+    if report["g"]["q"] != q:
+        raise DecomposeError(f"net weight box q={report['g']['q']} != configured q={q}", "g.q")
     g = _built("g", net_from_dict, report["g"])
     gvals = g.eval_batch(quad.nodes)
     fvals = f.values(quad)

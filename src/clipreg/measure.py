@@ -177,27 +177,19 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
 class FunctionOracle:
     """A function on the hypercube, evaluated batch-wise and cached per quadrature.
 
-    Values are expected in [-1,1]; out-of-range values are clamped and counted
-    (set clamp=False for differences, which live in [-2,2]).  A NaN or
-    infinite value is an error.
+    Values are taken as they come (a difference of two targets lives in
+    [-2,2]); a NaN or infinite value is an error.
     """
 
-    def __init__(self, fn, descriptor: str = "", clamp: bool = True):
+    def __init__(self, fn, descriptor: str = ""):
         self._fn = fn
         self.descriptor = descriptor
-        self.clamp = clamp
-        self.clamp_events = 0
         self._cache = {}
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         vals = np.asarray(self._fn(np.asarray(X, dtype=np.float64)), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise MeasureError(f"function {self.descriptor!r} has a non-finite value")
-        if self.clamp:
-            over = np.abs(vals) > 1.0 + 1e-12
-            if np.any(over):
-                self.clamp_events += int(over.sum())
-            vals = np.clip(vals, -1.0, 1.0)
         return vals
 
     def values(self, quad: Quadrature) -> np.ndarray:
@@ -211,7 +203,7 @@ class FunctionOracle:
 
 
 def oracle_from_net(net: RepNet, descriptor: str = "") -> FunctionOracle:
-    return FunctionOracle(net.eval_batch, descriptor or "repnet", clamp=False)
+    return FunctionOracle(net.eval_batch, descriptor or "repnet")
 
 
 def oracle_from_values(quad: Quadrature, vals: np.ndarray, descriptor: str = "") -> FunctionOracle:
@@ -223,7 +215,7 @@ def oracle_from_values(quad: Quadrature, vals: np.ndarray, descriptor: str = "")
             raise MeasureError("value-backed oracle queried off its quadrature")
         return vals
 
-    return FunctionOracle(fn, descriptor or "values", clamp=False)
+    return FunctionOracle(fn, descriptor or "values")
 
 
 def inner(quad: Quadrature, a: FunctionOracle, b: FunctionOracle) -> float:

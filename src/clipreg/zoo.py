@@ -37,8 +37,7 @@ def _linear(domain, params):
     rng = np.random.default_rng(seed)
     xi0 = rng.uniform(-domain.q, domain.q, size=domain.n)
     c = float(rng.uniform(-1.0, 1.0))
-    return FunctionOracle(lambda X: np.clip(X @ xi0 + c, -1.0, 1.0),
-                          f"linear(seed={seed})", clamp=False)
+    return FunctionOracle(lambda X: np.clip(X @ xi0 + c, -1.0, 1.0), f"linear(seed={seed})")
 
 
 def _step(domain, params):
@@ -46,8 +45,7 @@ def _step(domain, params):
     theta = float(params.get("theta", 0.0))
     if not -1.0 <= theta <= 1.0:
         raise ZooError(f"target 'step': theta must lie in [-1,1], got {theta}", "params.theta")
-    return FunctionOracle(lambda X: np.where(X[:, 0] >= theta, 1.0, -1.0),
-                          f"step(theta={theta})", clamp=False)
+    return FunctionOracle(lambda X: np.where(X[:, 0] >= theta, 1.0, -1.0), f"step(theta={theta})")
 
 
 def _ball(domain, params):
@@ -57,13 +55,12 @@ def _ball(domain, params):
         raise ZooError(f"target 'ball': rho must be >= 0, got {rho}", "params.rho")
     return FunctionOracle(
         lambda X: np.where(np.linalg.norm(X, axis=1) <= rho, 1.0, -1.0),
-        f"ball(rho={rho})", clamp=False)
+        f"ball(rho={rho})")
 
 
 def _sign_product(domain, params):
     _check_params("sign-product", params, {})
-    return FunctionOracle(lambda X: np.prod(np.where(X >= 0, 1.0, -1.0), axis=1),
-                          "sign-product", clamp=False)
+    return FunctionOracle(lambda X: np.prod(np.where(X >= 0, 1.0, -1.0), axis=1), "sign-product")
 
 
 def _random_grid(domain, params):
@@ -82,7 +79,7 @@ def _random_grid(domain, params):
                          for cell in uniq])
         return vals[inv]
 
-    return FunctionOracle(fn, f"random-grid(k={k},seed={seed})", clamp=False)
+    return FunctionOracle(fn, f"random-grid(k={k},seed={seed})")
 
 
 def _planted_net(domain, params):
@@ -95,14 +92,13 @@ def _planted_net(domain, params):
     if r < 0:
         raise ZooError(f"target 'planted-net': need r >= 0, got {r}", "params.r")
     net = planted_net(domain, d, r, seed)
-    return FunctionOracle(net.eval_batch, f"planted-net(d={d},r={r},seed={seed})", clamp=False)
+    return FunctionOracle(net.eval_batch, f"planted-net(d={d},r={r},seed={seed})")
 
 
 def _sine(domain, params):
     _check_params("sine", params, {"kappa"})
     kappa = float(params.get("kappa", 1.0))
-    return FunctionOracle(lambda X: np.sin(np.pi * kappa * X[:, 0]),
-                          f"sine(kappa={kappa})", clamp=False)
+    return FunctionOracle(lambda X: np.sin(np.pi * kappa * X[:, 0]), f"sine(kappa={kappa})")
 
 
 ZOO = {

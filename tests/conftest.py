@@ -17,8 +17,7 @@ def random_net(rng, domain, max_width=3, max_depth=3):
 
 
 def const_oracle(value):
-    return FunctionOracle(lambda X: np.full(len(X), float(value)),
-                          f"const({value})", clamp=False)
+    return FunctionOracle(lambda X: np.full(len(X), float(value)), f"const({value})")
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,13 @@ from clipreg.adversary import (
     AdversaryError,
     Budget,
     DictSpec,
+    _ascend_chunk,
     _backward,
+    _buffers,
     _forward,
     _forward_all,
+    _mirror,
+    _objective_linear,
     ascend,
     best_gain_element,
     invisibility_audit,
@@ -217,9 +221,7 @@ class TestInvisibilityAudit:
 def kernel_step(X, Ws, bs, Gc):
     """One forward and backward pass of the adversary kernel, on fresh buffers
     of the dtype of X."""
-    B, N = len(Gc), len(X)
-    Zs, As, dZs, Gs = ([np.empty((B, W.shape[1], N), X.dtype) for W in Ws] for _ in range(4))
-    masks = [np.empty(Z.shape, dtype=bool) for Z in Zs]
+    Zs, As, dZs, Gs, masks = _buffers(Ws, len(X), X.dtype)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     h = _forward(X, Ws, bs, Zs, As).copy()
     _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
@@ -266,6 +268,34 @@ class TestKernel:
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-5)
         for got, ref in zip(gWs + gbs, gWs_ref + gbs_ref):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_mirrored_start_retraces_negated_target(self, widths):
+        # the mirror computes -h, so ascending <h, t> from it retraces the
+        # ascent of <h, -t> from the start: ascend relies on this in place of
+        # a sign objective
+        rng = np.random.default_rng(sum(widths))
+        B, N = 6, 300
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
+        weights, t = np.full(N, 1.0 / N), rng.uniform(-1.0, 1.0, N)
+        dom = DomainSpec(widths[0], 1.0)
+        bounds = [dom.bias_bound(d_in) for d_in in widths[:-1]]
+        budget = Budget(1, 40)
+
+        def start():  # _ascend_chunk updates its params in place
+            return [W.copy() for W in Ws], [b.copy() for b in bs]
+
+        bufs = _buffers(Ws, N, np.float32)
+        obj, best_Ws, best_bs = _ascend_chunk(
+            X, _objective_linear(weights, -t), *start(), bufs, dom.q, bounds, budget)
+        m_obj, m_Ws, m_bs = _ascend_chunk(
+            X, _objective_linear(weights, t), *_mirror(*start()), bufs, dom.q, bounds, budget)
+        assert np.array_equal(obj, m_obj)
+        mirrored_Ws, mirrored_bs = _mirror(m_Ws, m_bs)
+        for got, ref in zip(mirrored_Ws + mirrored_bs, best_Ws + best_bs):
+            assert np.array_equal(got, ref)
+        assert not np.array_equal(best_Ws[0], Ws[0])  # the ascent moved
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_matches_eval_batch(self, widths):

@@ -99,8 +99,8 @@ class TestDecompose:
         assert report.g.cert == report.constructive_cert
 
     def test_certify_split_passes(self, run_step):
-        _, quad, f, report = run_step
-        verdict = certify_split(report.to_dict(), quad, f)
+        dom, quad, f, report = run_step
+        verdict = certify_split(report.to_dict(), quad, f, dom.q)
         assert verdict["ok"], verdict["details"]
 
     def test_zero_function_needs_no_stages(self, dom2, quad2):
@@ -160,7 +160,7 @@ class TestDecompose:
 
 class TestReportRoundTrip:
     def test_dict_round_trip(self, run_step):
-        _, quad, f, report = run_step
+        dom, quad, f, report = run_step
         clone = json.loads(json.dumps(report.to_dict()))
         assert clone["m_prime"] == report.m_prime
         assert clone["residual_l2_sq"] == report.residual_l2_sq
@@ -169,7 +169,7 @@ class TestReportRoundTrip:
         gv = oracle_from_net(report.g).values(quad)
         cv = oracle_from_net(net_from_dict(clone["g"])).values(quad)
         assert np.array_equal(gv, cv)
-        verdict = certify_split(clone, quad, f)
+        verdict = certify_split(clone, quad, f, dom.q)
         assert verdict["ok"], verdict["details"]
 
     def test_schema_version_present(self, run_step):
@@ -183,17 +183,17 @@ def _check(verdict, name):
 
 class TestCertifySplit:
     def test_flags_tampered_residual(self, run_step):
-        _, quad, f, report = run_step
+        dom, quad, f, report = run_step
         broken = report.to_dict()
         broken["residual_l2_sq"] = report.residual_l2_sq + 0.5
-        verdict = certify_split(broken, quad, f)
+        verdict = certify_split(broken, quad, f, dom.q)
         assert not verdict["ok"]
         assert not _check(verdict, "residual_l2_sq")["ok"]
 
     def test_flags_tampered_trace(self, run_step):
-        _, quad, f, report = run_step
+        dom, quad, f, report = run_step
         broken = report.to_dict()
         broken["trace"]["t0"] = 1.5
-        verdict = certify_split(broken, quad, f)
+        verdict = certify_split(broken, quad, f, dom.q)
         assert not verdict["ok"]
         assert not _check(verdict, "trace_t0")["ok"]

@@ -22,7 +22,7 @@ from conftest import const_oracle
 
 
 def coord(i=0):
-    return FunctionOracle(lambda X: X[:, i], f"w{i}", clamp=False)
+    return FunctionOracle(lambda X: X[:, i], f"w{i}")
 
 
 class TestBuildQuadrature:
@@ -170,25 +170,19 @@ class TestSigmaL1:
 class TestSchemeConvergence:
     def test_tensor_grid_smooth(self, dom1):
         q = build_quadrature(dom1, "tensor-grid", 64)
-        f = FunctionOracle(lambda X: np.cos(X[:, 0]), "cos", clamp=False)
+        f = FunctionOracle(lambda X: np.cos(X[:, 0]), "cos")
         assert inner(q, f, const_oracle(1)) == pytest.approx(np.sin(1.0), abs=1e-10)
 
     def test_low_discrepancy_lipschitz(self, dom2):
         q = build_quadrature(dom2, "low-discrepancy", 2 ** 14, seed=5)
-        f = FunctionOracle(lambda X: np.abs(X[:, 0]) - 0.5, "lip", clamp=False)
+        f = FunctionOracle(lambda X: np.abs(X[:, 0]) - 0.5, "lip")
         assert inner(q, f, const_oracle(1)) == pytest.approx(0.0, abs=1e-2)
 
 
 class TestFunctionOracle:
-    def test_clamp_counter(self, quad1):
-        f = FunctionOracle(lambda X: 1.5 * np.ones(len(X)), "hot")
-        vals = f.values(quad1)
-        assert np.all(vals == 1.0)
-        assert f.clamp_events == quad1.size
-
     def test_values_cached(self, quad1):
         calls = []
-        f = FunctionOracle(lambda X: (calls.append(1), np.zeros(len(X)))[1], "c", clamp=False)
+        f = FunctionOracle(lambda X: (calls.append(1), np.zeros(len(X)))[1], "c")
         f.values(quad1)
         f.values(quad1)
         assert len(calls) == 1

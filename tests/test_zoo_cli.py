@@ -274,10 +274,12 @@ class TestCliVerify:
         (shaped(g={**NET, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
         (shaped(g={**NET, "layers": [[{"w": [0.0, 0.0], "b": 0.0}, {"w": [0.0], "b": 0.0}],
                                      [{"w": [0.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
+        (shaped(g={**NET, "q": 5.0, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.q'"),
     ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero",
             "g-list", "layers-string", "unit-w-string", "m-prime-bool", "epsilon-nan",
             "picks-object", "gain-string", "cert-no-r", "audit-value-null",
-            "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows"])
+            "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
+            "g-q-mismatch"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
@@ -348,3 +350,11 @@ class TestCliMisc:
                          "--threads", str(threads)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["decompose", "adversary", "sweep"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command):
+        argv = [command, "--config", write_config(tmp_path), "--threads", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--n", "2"] if command == "sweep" else []))
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
