@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clipreg.netcore import (ClipregError, DomainSpec, Layer, RepCert, RepNet, net_to_dict,
-                             pad_depth)
+from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, planted_net
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 
 # Restarts are processed in fixed-size chunks so the arithmetic (and hence the
@@ -41,10 +40,6 @@ class DictSpec:
             raise AdversaryError(f"dictionary width d must be >= 1, got {self.d}", "d")
         if self.r < 0:
             raise AdversaryError(f"dictionary depth r must be >= 0, got {self.r}", "r")
-
-    @property
-    def cert(self) -> RepCert:
-        return RepCert(self.d, self.r)
 
     def arch(self) -> list:
         """Layer widths [n, d, ..., d, 1] with r hidden layers."""
@@ -88,36 +83,6 @@ class AdversaryResult:
             "seed": self.seed,
             "budget": self.budget.to_dict(),
         }
-
-
-def _init_params(spec: DictSpec, restart: int, seed: int):
-    rng = np.random.default_rng(seed ^ restart)
-    q = spec.domain.q
-    widths = spec.arch()
-    Ws, bs = [], []
-    for d_in, d_out in zip(widths[:-1], widths[1:]):
-        Ws.append(rng.uniform(-q, q, size=(d_out, d_in)))
-        # biases start in [-1,1]: inside the clamp box, away from the dead
-        # all-saturated region that large |c| produces
-        bs.append(rng.uniform(-1.0, 1.0, size=d_out))
-    return Ws, bs
-
-
-def _embed_params(net: RepNet, spec: DictSpec):
-    """Zero-pad a net satisfying (d|r) into the search architecture exactly."""
-    if not net.satisfies(spec.cert):
-        raise AdversaryError("warm-start net does not satisfy the dictionary certificate")
-    padded = pad_depth(net, spec.r - net.depth)
-    widths = spec.arch()
-    Ws, bs = [], []
-    for l, layer in enumerate(padded.layers):
-        W = np.zeros((widths[l + 1], widths[l]))
-        b = np.zeros(widths[l + 1])
-        W[: layer.d_out, : layer.d_in] = layer.W
-        b[: layer.d_out] = layer.b
-        Ws.append(W)
-        bs.append(b)
-    return Ws, bs
 
 
 def _objective_linear(weights, values):
@@ -251,9 +216,9 @@ def _search_sample(quad: Quadrature):
     return quad.nodes[idx], w / w.sum(), idx
 
 
-def _multistart(X, spec: DictSpec, entry_inits, objective, budget: Budget, threads: int):
-    """Run chunked multi-start ascent of `objective` at the search nodes X;
-    returns per-entry best params stacked.
+def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: int):
+    """Run chunked multi-start ascent of `objective` at the search nodes X
+    from the nets `entries`; returns per-entry best params stacked.
 
     The search runs in float32: it only chooses which nets get rescored in
     float64 on the full quadrature.  The returned params are float64, clipped
@@ -265,10 +230,10 @@ def _multistart(X, spec: DictSpec, entry_inits, objective, budget: Budget, threa
     q = spec.domain.q
     bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
     X = X.astype(np.float32)
-    Ws0, bs0 = ([np.stack([init[k][l] for init in entry_inits], dtype=np.float32)
-                 for l in range(L)] for k in (0, 1))
+    Ws0, bs0 = ([np.stack([getattr(net.layers[l], k) for net in entries], dtype=np.float32)
+                 for l in range(L)] for k in "Wb")
 
-    parts = [slice(lo, lo + _CHUNK) for lo in range(0, len(entry_inits), _CHUNK)]
+    parts = [slice(lo, lo + _CHUNK) for lo in range(0, len(entries), _CHUNK)]
     # each chunk's buffers come from the calling thread: glibc keeps what a
     # worker thread frees in that thread's arena, where the rescore that
     # follows cannot reuse it
@@ -302,22 +267,26 @@ def _forward_all(X, Ws, bs):
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
-    """One start per restart, the warm start's exact params in restart 0's
-    place, and those params (None without a warm start)."""
-    starts = [_init_params(spec, i, seed) for i in range(budget.restarts)]
-    warm = None if warm_start is None else _embed_params(warm_start, spec)
-    if warm is not None:
-        starts[0] = warm
-    return starts, warm
+    """One seeded net per restart, the warm start in restart 0's place.  A
+    warm start must have the search architecture exactly."""
+    starts = [planted_net(spec.domain, spec.d, spec.r, seed ^ i) for i in range(budget.restarts)]
+    if warm_start is not None:
+        if warm_start.domain != spec.domain or warm_start.widths != (spec.d,) * spec.r:
+            raise AdversaryError(f"warm start with hidden widths {warm_start.widths} on "
+                                 f"{warm_start.domain} does not have the search "
+                                 f"architecture {spec.arch()} on {spec.domain}")
+        starts[0] = warm_start
+    return starts
 
 
-def _mirror(Ws, bs):
-    """The same params with the output unit negated: since the clip is odd
-    and the boxes are symmetric, the mirrored net computes -h."""
-    return Ws[:-1] + [-Ws[-1]], bs[:-1] + [-bs[-1]]
+def _mirror(net: RepNet) -> RepNet:
+    """The net with its output unit negated: since the clip is odd and the
+    boxes are symmetric, the mirrored net computes -h."""
+    out = net.layers[-1]
+    return RepNet(net.domain, net.layers[:-1] + (Layer(-out.W, -out.b),))
 
 
-def _search(quad: Quadrature, spec: DictSpec, values, objective, score, entry_inits, warm,
+def _search(quad: Quadrature, spec: DictSpec, values, objective, score, entries, warm,
             budget: Budget, threads: int):
     """The search core: ascend `objective(weights, values)` from every entry
     on the search subsample, score each entry's best iterate with
@@ -329,15 +298,16 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, entry_in
     strictly higher, replace entry 0's best.
     """
     X, ws, idx = _search_sample(quad)
-    Ws, bs = _multistart(X, spec, entry_inits, objective(ws, values[idx]), budget, threads)
+    Ws, bs = _multistart(X, spec, entries, objective(ws, values[idx]), budget, threads)
     scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
     if warm is not None:
-        h = _forward_all(quad.nodes, *([a[None] for a in p] for p in warm))
+        h = _forward_all(quad.nodes, [layer.W[None] for layer in warm.layers],
+                         [layer.b[None] for layer in warm.layers])
         own = score(h, quad.weights, values)[0]
         if own > scores[0]:
             scores[0] = own
-            for A, a in zip(Ws + bs, warm[0] + warm[1]):
-                A[0] = a
+            for W, b, layer in zip(Ws, bs, warm.layers):
+                W[0], b[0] = layer.W, layer.b
     e = int(np.argmax(scores))
     return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
 
@@ -351,13 +321,13 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
     <h, target> from a start and from its mirror; ties across restarts go to
     the higher value, then the lower restart index.  Deterministic given seed.
     """
-    starts, warm = _starts(spec, budget, seed, warm_start)
+    starts = _starts(spec, budget, seed, warm_start)
     # entries: restart 0, its mirror, restart 1, its mirror, ...
-    entry_inits = [p for start in starts for p in (start, _mirror(*start))]
+    entries = [net for start in starts for net in (start, _mirror(start))]
     # |<h, target>| scores a net and its mirror alike, so entry 0 alone
     # carries a warm start, and a tie goes to the start before its mirror
     scores, witness = _search(quad, spec, target.values(quad), _objective_linear,
-                              lambda h, w, v: np.abs(h @ (w * v)), entry_inits, warm, budget,
+                              lambda h, w, v: np.abs(h @ (w * v)), entries, warm_start, budget,
                               threads)
     return AdversaryResult(
         value=float(scores.max()),
@@ -379,9 +349,8 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     point in its direction.  A start and its mirror ascend the same gain, so
     each restart runs from its start alone.
     """
-    starts, warm = _starts(spec, budget, seed, warm_start)
-    return _search(quad, spec, residual.values(quad), _objective_gain, _gain, starts, warm,
-                   budget, threads)[1]
+    return _search(quad, spec, residual.values(quad), _objective_gain, _gain,
+                   _starts(spec, budget, seed, warm_start), warm_start, budget, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,

@@ -102,15 +102,15 @@ _SHAPE = _object({
 _NET = _object({"n": _INT, "q": _NUM,
                 "layers": _list(_list(_object({"w": _list(_NUM), "b": _NUM})))})
 _CERT = _object({"d": _INT, "r": _INT})
-# the fields of a report that certify_split reads, in the order it reads them
+# the fields of a report that certify_split reads
 REPORT_SHAPE = _object({
     "g": _NET,
     "residual_l2_sq": _NUM,
     "m_prime": _INT,
     "m_budget": _INT,
     "epsilon": _NUM,
-    "trace": _object({"t0": _NUM, "picks": _list(_object({"t_after": _NUM, "gain": _NUM},
-                                                         closed=False))}),
+    "trace": _object({"t0": _NUM, "picks": _list(_object(
+        {"t_after": _NUM, "gain": _NUM, "lambda": _NUM, "element": _NET}, closed=False))}),
     "conservative_cert": _CERT,
     "constructive_cert": _CERT,
     "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False)},

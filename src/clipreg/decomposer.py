@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
-                             net_from_dict, net_to_dict, zero_net)
+from clipreg.netcore import (ClipregError, DomainSpec, NetError, RepCert, RepNet,
+                             compose_parallel, net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element, invisibility_audit
 
@@ -225,13 +225,14 @@ def _built(field: str, build, *args, **kwargs):
 
 def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -> dict:
     """Pure re-verification of a report in its written form (``to_dict()`` or
-    the parsed ``report.json``): f = g + (f-g) at every node, stage bound,
-    monotone trace, certificate arithmetic, and the audit threshold.
+    the parsed ``report.json``): g rebuilt from the stored picks and their
+    coefficients, the residual, stage bound, monotone trace, certificate
+    arithmetic, and the audit threshold.
 
-    A field of the right JSON type but out of range (a net or certificate
-    that cannot be built, or g on another dimension than the quadrature or
-    in another weight box than [-q, q]) raises DecomposeError naming the
-    field."""
+    A field of the right JSON type but out of range (a net, pick or
+    certificate that cannot be built, or g on another dimension than the
+    quadrature or in another weight box than [-q, q]) raises DecomposeError
+    naming the field."""
     checks = []
 
     if report["g"]["n"] != quad.n:
@@ -240,12 +241,16 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
     if report["g"]["q"] != q:
         raise DecomposeError(f"net weight box q={report['g']['q']} != configured q={q}", "g.q")
     g = _built("g", net_from_dict, report["g"])
-    gvals = g.eval_batch(quad.nodes)
-    fvals = f.values(quad)
-    diff = fvals - gvals
-    split_exact = bool(np.max(np.abs(fvals - (gvals + diff))) <= 1e-12)
-    checks.append(("pointwise_split", split_exact, "f equals g + (f-g) at every node"))
+    picks = report["trace"]["picks"]
+    elements = [_built(f"trace.picks[{i}].element", net_from_dict, p["element"])
+                for i, p in enumerate(picks)]
+    domain = DomainSpec(quad.n, q)
+    rebuilt = (_built("trace.picks", compose_parallel, elements, [p["lambda"] for p in picks],
+                      domain) if picks else zero_net(domain))
+    checks.append(("g_from_picks", net_to_dict(rebuilt) == report["g"],
+                   "g is the composition of the stored picks with their lambdas"))
 
+    diff = f.values(quad) - g.eval_batch(quad.nodes)
     res_sq = float(np.dot(quad.weights, diff * diff))
     checks.append(("residual_l2_sq", abs(res_sq - report["residual_l2_sq"]) <= 1e-10,
                    f"recomputed {res_sq} vs reported {report['residual_l2_sq']}"))
@@ -254,7 +259,7 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
                    f"m'={report['m_prime']} vs budget {report['m_budget']}"))
 
     epsilon = report["epsilon"]
-    t0, picks = report["trace"]["t0"], report["trace"]["picks"]
+    t0 = report["trace"]["t0"]
     checks.append(("trace_monotone", _non_increasing([t0] + [p["t_after"] for p in picks]),
                    "energy levels non-increasing"))
     checks.append(("gains_exceed_eps_sq", all(p["gain"] > epsilon ** 2 for p in picks),

@@ -36,7 +36,7 @@ class DomainSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise NetError(f"input dimension n must be a positive integer, got {self.n}", "n")
         if not (math.isfinite(self.q) and self.q >= 1.0):
             # q >= 1 is load-bearing: the stopping argument needs eps/||h|| <= q.
@@ -185,6 +185,21 @@ def pad_depth(net: RepNet, extra: int) -> RepNet:
 def zero_net(domain: DomainSpec) -> RepNet:
     """The constant-zero function as a single unit."""
     return RepNet(domain, (Layer(np.zeros((1, domain.n)), np.zeros(1)),))
+
+
+def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
+    """Seeded random network with architecture n -> d^r -> 1: weights
+    uniform in [-q, q], drawn W then b layer by layer.  Biases start in
+    [-1, 1]: inside the clamp box, away from the dead all-saturated region
+    that large |c| produces."""
+    rng = np.random.default_rng(seed)
+    widths = [domain.n] + [d] * r + [1]
+    layers = []
+    for d_in, d_out in zip(widths[:-1], widths[1:]):
+        W = rng.uniform(-domain.q, domain.q, size=(d_out, d_in))
+        b = rng.uniform(-1.0, 1.0, size=d_out)
+        layers.append(Layer(W, b))
+    return RepNet(domain, tuple(layers))
 
 
 def compose_parallel(nets, lambdas, domain: DomainSpec | None = None) -> RepNet:

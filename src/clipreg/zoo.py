@@ -4,24 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet
+from clipreg.netcore import ClipregError, DomainSpec, planted_net
 from clipreg.measure import FunctionOracle
 
 
 class ZooError(ClipregError):
     pass
-
-
-def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
-    """Seeded random network with architecture n -> d^r -> 1."""
-    rng = np.random.default_rng(seed)
-    widths = [domain.n] + [d] * r + [1]
-    layers = []
-    for d_in, d_out in zip(widths[:-1], widths[1:]):
-        W = rng.uniform(-domain.q, domain.q, size=(d_out, d_in))
-        b = rng.uniform(-1.0, 1.0, size=d_out)
-        layers.append(Layer(W, b))
-    return RepNet(domain, tuple(layers))
 
 
 def _check_params(name, params, allowed):

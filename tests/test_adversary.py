@@ -14,6 +14,7 @@ from clipreg.adversary import (
     _forward_all,
     _mirror,
     _objective_linear,
+    _starts,
     ascend,
     best_gain_element,
     invisibility_audit,
@@ -28,7 +29,7 @@ from clipreg.measure import (
     oracle_from_values,
     sigma_l1,
 )
-from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet
+from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet, net_to_dict
 from clipreg.zoo import planted_net
 from conftest import const_oracle, reference_step
 
@@ -130,6 +131,13 @@ class TestAscend:
         assert max(np.abs(layer.W).max() for layer in res.witness.layers) <= dom.q
         assert max(np.abs(layer.W).max() for layer in res.witness.layers) == dom.q
 
+    @pytest.mark.parametrize("d, r", [(1, 1), (2, 0), (3, 1), (2, 2)])
+    def test_warm_start_of_other_architecture_rejected(self, dom2, quad2, d, r):
+        f = FunctionOracle(lambda X: X[:, 0], "lin")
+        with pytest.raises(AdversaryError):
+            ascend(quad2, DictSpec(2, 1, dom2), f, Budget(2, 5), seed=0,
+                   warm_start=planted_net(dom2, d, r, seed=1))
+
     def test_witness_respects_arch(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0], "lin")
         res = ascend(quad2, DictSpec(3, 2, dom2), f, Budget(4, 30), seed=1)
@@ -143,6 +151,39 @@ class TestAscend:
         assert d["lower_bound_only"] is True
         assert d["value"] == res.value
         assert d["budget"]["restarts"] == 4
+
+
+class TestStarts:
+    @pytest.mark.parametrize("d, r", [(2, 1), (8, 3)])
+    def test_starts_are_seeded_draws(self, d, r):
+        # restart i draws W then b per layer from default_rng(seed ^ i); the
+        # report bytes depend on this order
+        dom = DomainSpec(2, 1.5)
+        spec, seed = DictSpec(d, r, dom), 1234
+        starts = _starts(spec, Budget(restarts=5), seed, None)
+        assert len(starts) == 5
+        for i, net in enumerate(starts):
+            rng = np.random.default_rng(seed ^ i)
+            for layer, (d_in, d_out) in zip(net.layers, zip(spec.arch(), spec.arch()[1:])):
+                assert np.array_equal(layer.W, rng.uniform(-dom.q, dom.q, (d_out, d_in)))
+                assert np.array_equal(layer.b, rng.uniform(-1.0, 1.0, d_out))
+            ref = planted_net(dom, d, r, seed ^ i)
+            for got, want in zip(net.layers, ref.layers):
+                assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
+
+    def test_warm_start_takes_restart_zero(self, dom2):
+        spec = DictSpec(2, 1, dom2)
+        warm = planted_net(dom2, 2, 1, seed=77)
+        cold, hot = (_starts(spec, Budget(restarts=3), 9, w) for w in (None, warm))
+        assert hot[0] is warm
+        assert [net_to_dict(n) for n in hot[1:]] == [net_to_dict(n) for n in cold[1:]]
+
+    @pytest.mark.parametrize("d, r", [(2, 1), (8, 3)])
+    def test_mirror_negates_bit_for_bit(self, dom2, d, r):
+        net = planted_net(dom2, d, r, seed=5)
+        X = np.random.default_rng(6).uniform(-1.0, 1.0, (500, 2))
+        assert np.array_equal(_mirror(net).eval_batch(X), -net.eval_batch(X))
+        assert net_to_dict(_mirror(_mirror(net))) == net_to_dict(net)
 
 
 class TestBestGainElement:
@@ -283,16 +324,18 @@ class TestKernel:
         bounds = [dom.bias_bound(d_in) for d_in in widths[:-1]]
         budget = Budget(1, 40)
 
-        def start():  # _ascend_chunk updates its params in place
-            return [W.copy() for W in Ws], [b.copy() for b in bs]
+        def start(sign=1.0):  # _ascend_chunk updates its params in place;
+            # sign=-1 negates the output layer of every entry, as _mirror does
+            return ([W.copy() for W in Ws[:-1]] + [sign * Ws[-1]],
+                    [b.copy() for b in bs[:-1]] + [sign * bs[-1]])
 
         bufs = _buffers(Ws, N, np.float32)
         obj, best_Ws, best_bs = _ascend_chunk(
             X, _objective_linear(weights, -t), *start(), bufs, dom.q, bounds, budget)
         m_obj, m_Ws, m_bs = _ascend_chunk(
-            X, _objective_linear(weights, t), *_mirror(*start()), bufs, dom.q, bounds, budget)
+            X, _objective_linear(weights, t), *start(-1.0), bufs, dom.q, bounds, budget)
         assert np.array_equal(obj, m_obj)
-        mirrored_Ws, mirrored_bs = _mirror(m_Ws, m_bs)
+        mirrored_Ws, mirrored_bs = m_Ws[:-1] + [-m_Ws[-1]], m_bs[:-1] + [-m_bs[-1]]
         for got, ref in zip(mirrored_Ws + mirrored_bs, best_Ws + best_bs):
             assert np.array_equal(got, ref)
         assert not np.array_equal(best_Ws[0], Ws[0])  # the ascent moved

@@ -197,3 +197,13 @@ class TestCertifySplit:
         verdict = certify_split(broken, quad, f, dom.q)
         assert not verdict["ok"]
         assert not _check(verdict, "trace_t0")["ok"]
+
+    def test_flags_g_not_built_from_picks(self, run_step):
+        dom, quad, f, report = run_step
+        assert report.m_prime >= 1
+        assert _check(certify_split(report.to_dict(), quad, f, dom.q), "g_from_picks")["ok"]
+        broken = report.to_dict()
+        broken["trace"]["picks"][0]["lambda"] /= 2.0
+        verdict = certify_split(broken, quad, f, dom.q)
+        assert not verdict["ok"]
+        assert not _check(verdict, "g_from_picks")["ok"]

@@ -234,7 +234,7 @@ class TestCliVerify:
         assert main(["verify", "--report", str(report_path),
                      "--config", cfg_path]) == 0
         out = capsys.readouterr().out
-        assert "pointwise_split: ok" in out
+        assert "g_from_picks: ok" in out
         assert "FAILED" not in out
 
     def test_verify_flags_tampering(self, tmp_path, capsys):
@@ -259,6 +259,7 @@ class TestCliVerify:
         ('{"config_echo": []}', "config_echo.domain"),
         ('{"config_echo": {"domain": 5}}', "config_echo.domain"),
         ('{"config_echo": {"domain": {"n": 0}}}', "config_echo.domain.n"),
+        ('{"config_echo": {"domain": {"n": true}}}', "config_echo.domain.n"),
         ('{"config_echo": {}, "g": []}', "'g'"),
         ('{"config_echo": {}, "g": {"n": 2, "q": 1.0, "layers": "ab"}}', "'g.layers'"),
         (shaped(g={**NET, "layers": [[{"w": "x", "b": 0.0}]]}), "'g.layers[0][0].w'"),
@@ -267,6 +268,8 @@ class TestCliVerify:
         (shaped(trace={"t0": 0.0, "picks": {}}), "'trace.picks'"),
         (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": "big"}]}),
          "'trace.picks[0].gain'"),
+        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": 0.5, "lambda": "x",
+                                             "element": NET}]}), "'trace.picks[0].lambda'"),
         (shaped(constructive_cert={"d": 1}), "'constructive_cert.r'"),
         (shaped(audit={"result": {"value": None, "witness": NET}}), "'audit.result.value'"),
         (shaped(g={**NET, "n": 3}), "'g.n'"),
@@ -275,11 +278,15 @@ class TestCliVerify:
         (shaped(g={**NET, "layers": [[{"w": [0.0, 0.0], "b": 0.0}, {"w": [0.0], "b": 0.0}],
                                      [{"w": [0.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
         (shaped(g={**NET, "q": 5.0, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.q'"),
-    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero",
+        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": 0.5, "lambda": 1.0,
+                                             "element": {**NET, "layers": [[{"w": [5.0, 0.0],
+                                                                            "b": 0.0}]]}}]}),
+         "'trace.picks[0].element.layers'"),
+    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero", "n-bool",
             "g-list", "layers-string", "unit-w-string", "m-prime-bool", "epsilon-nan",
-            "picks-object", "gain-string", "cert-no-r", "audit-value-null",
+            "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
-            "g-q-mismatch"])
+            "g-q-mismatch", "element-weight-outside-q"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
@@ -324,6 +331,12 @@ class TestCliMisc:
         out = capsys.readouterr().out
         for name in ZOO:
             assert name in out
+
+    def test_zoo_unknown_action(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zoo", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_adversary_subcommand(self, tmp_path, capsys):
         out = tmp_path / "adv.json"
