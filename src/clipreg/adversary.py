@@ -96,8 +96,9 @@ def _objective_linear(weights, values):
 
 
 def _objective_gain(weights, values):
-    """J_b = <h,res>^2 / ||h||^2: the exact energy decrease of the optimally
-    scaled (unclamped) pick; both quantities under the quadrature weights."""
+    """J_b = <h,res>^2 / ||h||^2, the energy decrease of the unclamped
+    optimally scaled pick under the quadrature weights.  The polish ascends
+    this smooth surrogate; `fit`'s clamped gain ranks what it finds."""
     weights = weights.astype(np.float32)
     wres = weights * values.astype(np.float32)
 
@@ -111,10 +112,15 @@ def _objective_gain(weights, values):
     return eval_obj
 
 
-def _gain(h, weights, values):
-    """<h, values>^2 / ||h||^2 per entry, the float64 score of `_objective_gain`."""
-    c = h @ (weights * values)
-    return c * c / np.maximum((h * h) @ weights, 1e-14)
+def fit(h, weights, values, q: float):
+    """The best single step lam*h toward `values`, per entry of h, (E, N) or
+    (N,), under the quadrature weights: lam = clip(<h, values>/||h||^2, -q, q),
+    0 where ||h||^2 < 1e-14, and its gain 2*lam*<h, values> - lam^2*||h||^2,
+    the exact decrease of ||values - lam*h||^2.  Returns (lam, gain)."""
+    c = (h * values) @ weights
+    h2 = (h * h) @ weights
+    lam = np.where(h2 < 1e-14, 0.0, np.clip(c / np.maximum(h2, 1e-14), -q, q))
+    return lam, 2.0 * lam * c - lam * lam * h2
 
 
 def _forward(X, Ws, bs, Zs, As):
@@ -342,14 +348,18 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
 def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
                       budget: Budget, seed: int, threads: int = 1,
                       warm_start: RepNet | None = None) -> RepNet:
-    """Maximize the single-pick energy gain <h,res>^2 / ||h||^2 directly.
+    """The net of highest clamped gain (`fit`) against the residual.
 
     Polishes the plain correlation maximizer for the decomposition stages:
-    the gain objective prefers elements that also FIT the residual, not just
-    point in its direction.  A start and its mirror ascend the same gain, so
-    each restart runs from its start alone.
+    every restart ascends the smooth gain <h,res>^2 / ||h||^2, which prefers
+    elements that also FIT the residual, not just point in its direction, and
+    the best iterates, the warm start's exact params among them, are ranked
+    by the gain of their clamped coefficient, the one the loop accepts on.
+    A start and its mirror ascend the same gain, so each restart runs from
+    its start alone.
     """
-    return _search(quad, spec, residual.values(quad), _objective_gain, _gain,
+    return _search(quad, spec, residual.values(quad), _objective_gain,
+                   lambda h, w, v: fit(h, w, v, spec.domain.q)[1],
                    _starts(spec, budget, seed, warm_start), warm_start, budget, threads)[1]
 
 

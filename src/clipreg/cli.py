@@ -48,6 +48,16 @@ def _setup(cfg: RunConfig, domain: DomainSpec):
     return quad, target, replace(cfg.dict_spec, domain=domain)
 
 
+def _print_verdict(verdict) -> int:
+    """Print each check of a `certify_split` verdict, with the detail of a
+    failed one on stderr; returns the exit code, 0 when all passed, else 1."""
+    for item in verdict["details"]:
+        print(f"{item['check']}: {'ok' if item['ok'] else 'FAILED'}")
+        if not item["ok"]:
+            print(f"  {item['detail']}", file=sys.stderr)
+    return 0 if verdict["ok"] else 1
+
+
 def run_decompose(cfg: RunConfig, threads: int = 1, domain: DomainSpec | None = None):
     domain = domain or cfg.domain
     quad, target, spec = _setup(cfg, domain)
@@ -69,13 +79,7 @@ def cmd_decompose(args) -> int:
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
     if args.verify:
-        verdict = certify_split(written, quad, target, cfg.domain.q)
-        if not verdict["ok"]:
-            for item in verdict["details"]:
-                if not item["ok"]:
-                    print(f"verify FAILED: {item['check']}: {item['detail']}", file=sys.stderr)
-            return 1
-        print("verify ok")
+        return _print_verdict(certify_split(written, quad, target, cfg.domain.q))
     return 0
 
 
@@ -131,30 +135,17 @@ def cmd_verify(args) -> int:
             report = json.load(fh)
         if not isinstance(report, dict):
             return _malformed_report(args.report, "not a JSON object")
-        n = report["config_echo"].get("domain", {}).get("n")
-        domain = cfg.domain if n is None else DomainSpec(n=n, q=cfg.domain.q)
         REPORT_SHAPE(report, "")
     except json.JSONDecodeError as e:
         return _malformed_report(args.report, f"invalid JSON: {e}")
-    except KeyError as e:
-        return _malformed_report(args.report, f"missing key {e}")
-    except (AttributeError, TypeError) as e:  # config_echo or its domain is not an object
-        return _malformed_report(args.report, f"config_echo.domain: {e}")
-    except NetError as e:  # q comes from the config, so n is at fault
-        return _malformed_report(args.report, f"config_echo.domain.n: {e}")
     except ConfigError as e:  # from REPORT_SHAPE
         return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
-    quad, target, _ = _setup(cfg, domain)
+    quad, target, _ = _setup(cfg, cfg.domain)
     try:
-        verdict = certify_split(report, quad, target, domain.q)
+        verdict = certify_split(report, quad, target, cfg.domain.q)
     except DecomposeError as e:  # a well-typed field out of range
         return _malformed_report(args.report, f"field {e.param!r}: {e}")
-    for item in verdict["details"]:
-        status = "ok" if item["ok"] else "FAILED"
-        print(f"{item['check']}: {status}")
-        if not item["ok"]:
-            print(f"  {item['detail']}", file=sys.stderr)
-    return 0 if verdict["ok"] else 1
+    return _print_verdict(verdict)
 
 
 def _threads(text: str) -> int:

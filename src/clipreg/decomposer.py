@@ -19,7 +19,8 @@ import numpy as np
 from clipreg.netcore import (ClipregError, DomainSpec, NetError, RepCert, RepNet,
                              compose_parallel, net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
-from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element, invisibility_audit
+from clipreg.adversary import (Budget, DictSpec, ascend, best_gain_element, fit,
+                               invisibility_audit)
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
@@ -113,30 +114,22 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
     """Best single dictionary step against the residual.
 
     Returns (element, its values at the nodes, lambda, gain, adversary
-    result).  The coefficient is the clamped minimizer of ||residual - lam*h||^2;
-    gain is the exact decrease 2*lam*<h,res> - lam^2*||h||^2 of that quadratic.
+    result).  `ascend` finds the element best correlated with the residual;
+    the polish re-ascends from it and fresh starts, and its winner, ranked by
+    the clamped gain with the correlation witness among the candidates, is
+    the element.  lambda and gain are `fit`'s: the clamped minimizer of
+    ||residual - lam*h||^2 and the exact decrease it achieves.
     """
-    rv = residual.values(quad)
-
-    def realized(net):
-        hv = net.eval_batch(quad.nodes)
-        c = float(np.dot(quad.weights, hv * rv))
-        h2 = float(np.dot(quad.weights, hv * hv))
-        if h2 < 1e-14:
-            return net, hv, 0.0, 0.0
-        lam = float(np.clip(c / h2, -spec.domain.q, spec.domain.q))
-        return net, hv, lam, 2.0 * lam * c - lam * lam * h2
-
     res = ascend(quad, spec, residual, budget, seed, threads=threads)
     # polish: the correlation maximizer points along the residual but may fit
     # it poorly; re-ascend on the gain objective from the witness and fresh
     # starts (fewer of them — the warm start already carries the search)
     polish_budget = replace(budget, restarts=max(8, budget.restarts // 4))
-    polished = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
-                                 threads=threads, warm_start=res.witness)
-    # the polished pick must gain strictly more; max keeps the first on ties
-    best = max(realized(res.witness), realized(polished), key=lambda pick: pick[3])
-    return (*best, res)
+    element = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
+                                threads=threads, warm_start=res.witness)
+    hv = element.eval_batch(quad.nodes)
+    lam, gain = fit(hv, quad.weights, residual.values(quad), spec.domain.q)
+    return element, hv, float(lam), float(gain), res
 
 
 def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: float,
@@ -159,8 +152,6 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
         raise DecomposeError(f"target energy {t0} exceeds 1 (target not bounded by 1?)")
 
     picks = []
-    elements = []
-    lambdas = []
     resvals = fvals.copy()
     t_current = t0
     budget_exhausted = True
@@ -177,15 +168,13 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
             break
         t_current -= gain
         resvals = resvals - lam * hv
-        elements.append(element)
-        lambdas.append(lam)
         picks.append(StagePick(k=k, element=element, lam=lam, gain=gain, t_after=t_current))
 
     m_prime = len(picks)
     if m_prime == 0:
         g = zero_net(spec.domain)
     else:
-        g = compose_parallel(elements, lambdas, spec.domain)
+        g = compose_parallel([p.element for p in picks], [p.lam for p in picks], spec.domain)
 
     gvals = g.eval_batch(quad.nodes)
     diff = fvals - gvals
@@ -257,6 +246,8 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
 
     checks.append(("stage_bound", report["m_prime"] <= report["m_budget"],
                    f"m'={report['m_prime']} vs budget {report['m_budget']}"))
+    checks.append(("m_prime_picks", report["m_prime"] == len(picks),
+                   f"m'={report['m_prime']} vs {len(picks)} stored picks"))
 
     epsilon = report["epsilon"]
     t0 = report["trace"]["t0"]

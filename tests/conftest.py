@@ -16,6 +16,16 @@ def random_net(rng, domain, max_width=3, max_depth=3):
     return RepNet(domain, tuple(layers))
 
 
+def clamped_step(hv, weights, values, q):
+    """The clamped step's (lambda, gain) for one net's node values, in scalars."""
+    c = float(np.dot(weights, hv * values))
+    h2 = float(np.dot(weights, hv * hv))
+    if h2 < 1e-14:
+        return 0.0, 0.0
+    lam = float(np.clip(c / h2, -q, q))
+    return lam, 2.0 * lam * c - lam * lam * h2
+
+
 def const_oracle(value):
     return FunctionOracle(lambda X: np.full(len(X), float(value)), f"const({value})")
 

@@ -17,6 +17,7 @@ from clipreg.adversary import (
     _starts,
     ascend,
     best_gain_element,
+    fit,
     invisibility_audit,
     sigma_dr,
 )
@@ -30,8 +31,8 @@ from clipreg.measure import (
     sigma_l1,
 )
 from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet, net_to_dict
-from clipreg.zoo import planted_net
-from conftest import const_oracle, reference_step
+from clipreg.zoo import planted_net, zoo
+from conftest import clamped_step, const_oracle, reference_step
 
 SMALL = Budget(restarts=16, iterations=150)
 
@@ -186,22 +187,56 @@ class TestStarts:
         assert net_to_dict(_mirror(_mirror(net))) == net_to_dict(net)
 
 
+class TestFit:
+    def test_matches_scalar_formula(self, quad2):
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-1, 1, quad2.size)
+        h = np.clip(rng.uniform(-3, 3, (6, 1)) * values + rng.normal(0, 0.3, (6, quad2.size)),
+                    -1, 1)
+        lam, gain = fit(h, quad2.weights, values, 1.0)
+        for row, l, g in zip(h, lam, gain):
+            assert (l, g) == pytest.approx(clamped_step(row, quad2.weights, values, 1.0),
+                                           rel=1e-12, abs=1e-15)
+        # one net's values: the same bits as the scalar formula
+        one = fit(h[0], quad2.weights, values, 1.0)
+        assert (float(one[0]), float(one[1])) == clamped_step(h[0], quad2.weights, values, 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clamps_at_q(self, quad2, sign):
+        values = np.sign(quad2.nodes[:, 0])
+        h = sign * 0.1 * values  # unclamped lambda = 10 * sign
+        lam, gain = fit(h, quad2.weights, values, 0.75)
+        assert lam == sign * 0.75
+        assert (float(lam), float(gain)) == clamped_step(h, quad2.weights, values, 0.75)
+        assert gain < 0.1 ** 2 / 0.01  # the unclamped gain overstates the step
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-9])
+    def test_vanishing_h_takes_no_step(self, quad2, scale):
+        values = np.ones(quad2.size)
+        lam, gain = fit(np.full((2, quad2.size), scale), quad2.weights, values, 1.0)
+        assert np.array_equal(lam, [0.0, 0.0]) and np.array_equal(gain, [0.0, 0.0])
+
+
 class TestBestGainElement:
+    # on sign-product the coefficient clamps at q, where the unclamped gain
+    # <h,res>^2/||h||^2 overstates what a pick achieves
     def test_gain_never_below_correlation_pick(self, dom2, quad2):
-        f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
         spec = DictSpec(2, 1, dom2)
-        corr = ascend(quad2, spec, f, SMALL, seed=13)
-        net = best_gain_element(quad2, spec, f, SMALL, seed=14,
-                                warm_start=corr.witness)
-
-        def realized_gain(h):
-            hv = oracle_from_net(h).values(quad2)
+        for f in (FunctionOracle(lambda X: np.sign(X[:, 0]), "step"),
+                  zoo("sign-product", {}, dom2)):
             fv = f.values(quad2)
-            c = float(np.dot(quad2.weights, hv * fv))
-            h2 = max(float(np.dot(quad2.weights, hv * hv)), 1e-14)
-            return c * c / h2
 
-        assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9
+            def realized_gain(net):
+                return clamped_step(oracle_from_net(net).values(quad2), quad2.weights, fv,
+                                    1.0)[1]
+
+            for budget in (SMALL, Budget(8, 60)):
+                for seed in range(5):
+                    corr = ascend(quad2, spec, f, budget, seed=seed)
+                    net = best_gain_element(quad2, spec, f, budget, seed=seed + 1,
+                                            warm_start=corr.witness)
+                    assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9, \
+                        (f.descriptor, budget, seed)
 
     def test_witnesses_are_float64(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")

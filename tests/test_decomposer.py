@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipreg.adversary import Budget, DictSpec
+from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element
 from clipreg.decomposer import (
     DecomposeError,
     certify_split,
@@ -15,9 +16,9 @@ from clipreg.decomposer import (
     stage_solve,
 )
 from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
-from clipreg.netcore import DomainSpec, RepCert, net_from_dict
+from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict
 from clipreg.zoo import planted_net, zoo
-from conftest import const_oracle
+from conftest import clamped_step, const_oracle
 
 FAST = Budget(restarts=16, iterations=120)
 
@@ -65,6 +66,20 @@ class TestStageSolve:
         element, values, _, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f,
                                                Budget(8, 30), seed=d)
         assert np.array_equal(values, element.eval_batch(quad2.nodes))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_element_is_polish_winner(self, dom2, quad2, seed):
+        f = zoo("sign-product", {}, dom2)
+        spec, budget = DictSpec(2, 1, dom2), Budget(16, 100)
+        element, values, lam, gain, res = stage_solve(quad2, spec, f, budget, seed=seed)
+        witness = ascend(quad2, spec, f, budget, seed).witness
+        winner = best_gain_element(quad2, spec, f, replace(budget, restarts=8), seed + 1,
+                                   warm_start=witness)
+        assert net_to_dict(res.witness) == net_to_dict(witness)
+        assert net_to_dict(element) == net_to_dict(winner)
+        fv, w = f.values(quad2), quad2.weights
+        assert (lam, gain) == clamped_step(values, w, fv, 1.0)
+        assert gain >= clamped_step(witness.eval_batch(quad2.nodes), w, fv, 1.0)[1] - 1e-12
 
 
 class TestDecompose:
@@ -207,3 +222,13 @@ class TestCertifySplit:
         verdict = certify_split(broken, quad, f, dom.q)
         assert not verdict["ok"]
         assert not _check(verdict, "g_from_picks")["ok"]
+
+    def test_flags_m_prime_not_the_pick_count(self, run_step):
+        dom, quad, f, report = run_step
+        assert report.m_prime >= 1
+        assert _check(certify_split(report.to_dict(), quad, f, dom.q), "m_prime_picks")["ok"]
+        broken = report.to_dict()
+        broken["m_prime"] = 0
+        verdict = certify_split(broken, quad, f, dom.q)
+        assert not verdict["ok"]
+        assert not _check(verdict, "m_prime_picks")["ok"]

@@ -252,14 +252,10 @@ class TestCliVerify:
                      "--config", cfg_path]) == 1
 
     @pytest.mark.parametrize("text, named", [
-        ("{}", "'config_echo'"),
+        ("{}", "'g'"),
         ('{"config_echo": {}}', "'g'"),
         ("{", "invalid JSON"),
         ("[]", "not a JSON object"),
-        ('{"config_echo": []}', "config_echo.domain"),
-        ('{"config_echo": {"domain": 5}}', "config_echo.domain"),
-        ('{"config_echo": {"domain": {"n": 0}}}', "config_echo.domain.n"),
-        ('{"config_echo": {"domain": {"n": true}}}', "config_echo.domain.n"),
         ('{"config_echo": {}, "g": []}', "'g'"),
         ('{"config_echo": {}, "g": {"n": 2, "q": 1.0, "layers": "ab"}}', "'g.layers'"),
         (shaped(g={**NET, "layers": [[{"w": "x", "b": 0.0}]]}), "'g.layers[0][0].w'"),
@@ -282,9 +278,8 @@ class TestCliVerify:
                                              "element": {**NET, "layers": [[{"w": [5.0, 0.0],
                                                                             "b": 0.0}]]}}]}),
          "'trace.picks[0].element.layers'"),
-    ], ids=["empty", "no-g", "bad-json", "list", "echo-list", "domain-int", "n-zero", "n-bool",
-            "g-list", "layers-string", "unit-w-string", "m-prime-bool", "epsilon-nan",
-            "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
+    ], ids=["empty", "no-g", "bad-json", "list", "g-list", "layers-string", "unit-w-string",
+            "m-prime-bool", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
             "g-q-mismatch", "element-weight-outside-q"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
