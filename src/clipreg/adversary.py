@@ -86,12 +86,14 @@ class AdversaryResult:
 
 
 def _objective_linear(weights, values):
-    """J_b = <h_b, c> with c = weights * values, a weighted correlation whose
-    gradient dJ/dh is c itself, shared by every entry."""
+    """J_b = |<h_b, c>| with c = weights * values, a weighted correlation of
+    either sign, and its subgradient dJ/dh = sign(<h_b, c>) * c.  Negating
+    `values` negates c exactly, so the climb is bit-for-bit the same."""
     c = (weights * values).astype(np.float32)
 
     def eval_obj(h):
-        return np.einsum("bn,n->b", h, c), c
+        corr = np.einsum("bn,n->b", h, c)
+        return np.abs(corr), np.sign(corr)[:, None] * c
     return eval_obj
 
 
@@ -139,11 +141,11 @@ def _forward(X, Ws, bs, Zs, As):
 
 
 def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
-    """Backpropagate dJ/dh = Gc, (B, N) or one (N,) row for every entry,
-    through the pass `_forward` left in Zs and As, writing dJ/dW into gWs and
-    dJ/db into gbs.  masks, dZs and Gs are scratch buffers shaped like Zs."""
+    """Backpropagate dJ/dh = Gc, (B, N), through the pass `_forward` left in
+    Zs and As, writing dJ/dW into gWs and dJ/db into gbs.  masks, dZs and Gs
+    are scratch buffers shaped like Zs."""
     inputs = [X.T] + As[:-1]
-    G = Gc[..., None, :]
+    G = Gc[:, None, :]
     for l in range(len(Ws) - 1, -1, -1):
         # Z == A exactly where the clip is inactive, kinks included;
         # the subgradient there is 1 (the interior value), 0 outside
@@ -167,7 +169,7 @@ def _ascend_chunk(X, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
 
     Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: the
     chunk's `_buffers`.  `objective(h)` returns the per-entry value (B,) and
-    its gradient coefficients dJ/dh, (B, N) or one (N,) row for every entry.
+    its gradient coefficients dJ/dh, (B, N).
     Returns per-entry best objective and the parameters achieving it.  No
     two chunks share a buffer, so chunks can run concurrently; every array
     takes the dtype of X, which the parameters and objective share.
@@ -285,34 +287,28 @@ def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None
     return starts
 
 
-def _mirror(net: RepNet) -> RepNet:
-    """The net with its output unit negated: since the clip is odd and the
-    boxes are symmetric, the mirrored net computes -h."""
-    out = net.layers[-1]
-    return RepNet(net.domain, net.layers[:-1] + (Layer(-out.W, -out.b),))
-
-
-def _search(quad: Quadrature, spec: DictSpec, values, objective, score, entries, warm,
-            budget: Budget, threads: int):
-    """The search core: ascend `objective(weights, values)` from every entry
-    on the search subsample, score each entry's best iterate with
-    `score(h, weights, values)` on the full quadrature, and return the scores
-    (E,) and the first best entry's net.
+def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: Budget,
+            seed: int, warm_start: RepNet | None, threads: int):
+    """The search core: ascend `objective(weights, values)` on the search
+    subsample from `_starts`, one entry per restart, score each best iterate
+    with `score(h, weights, values)` on the full quadrature, and return the
+    scores (restarts,) and the first best entry's net.
 
     The float32 search sees a warm start rounded, so its exact float64
-    params `warm` (the start of entry 0) are scored too and, when they score
+    params (the start of entry 0) are scored too and, when they score
     strictly higher, replace entry 0's best.
     """
     X, ws, idx = _search_sample(quad)
-    Ws, bs = _multistart(X, spec, entries, objective(ws, values[idx]), budget, threads)
+    Ws, bs = _multistart(X, spec, _starts(spec, budget, seed, warm_start),
+                         objective(ws, values[idx]), budget, threads)
     scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
-    if warm is not None:
-        h = _forward_all(quad.nodes, [layer.W[None] for layer in warm.layers],
-                         [layer.b[None] for layer in warm.layers])
+    if warm_start is not None:
+        h = _forward_all(quad.nodes, [layer.W[None] for layer in warm_start.layers],
+                         [layer.b[None] for layer in warm_start.layers])
         own = score(h, quad.weights, values)[0]
         if own > scores[0]:
             scores[0] = own
-            for W, b, layer in zip(Ws, bs, warm.layers):
+            for W, b, layer in zip(Ws, bs, warm_start.layers):
                 W[0], b[0] = layer.W, layer.b
     e = int(np.argmax(scores))
     return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
@@ -323,23 +319,18 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
            warm_start: RepNet | None = None) -> AdversaryResult:
     """Maximize |<h_theta, target>| over the (d|r) parameter box.
 
-    The dictionary is closed under negation, so every restart ascends
-    <h, target> from a start and from its mirror; ties across restarts go to
-    the higher value, then the lower restart index.  Deterministic given seed.
+    The dictionary is closed under negation, so one climb of |<h, target>|
+    per restart covers both signs; ties across restarts go to the lower
+    restart index.  Deterministic given seed.
     """
-    starts = _starts(spec, budget, seed, warm_start)
-    # entries: restart 0, its mirror, restart 1, its mirror, ...
-    entries = [net for start in starts for net in (start, _mirror(start))]
-    # |<h, target>| scores a net and its mirror alike, so entry 0 alone
-    # carries a warm start, and a tie goes to the start before its mirror
     scores, witness = _search(quad, spec, target.values(quad), _objective_linear,
-                              lambda h, w, v: np.abs(h @ (w * v)), entries, warm_start, budget,
+                              lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
                               threads)
     return AdversaryResult(
         value=float(scores.max()),
         witness=witness,
         restarts_run=budget.restarts,
-        per_restart_values=tuple(float(v) for v in scores.reshape(-1, 2).max(axis=1)),
+        per_restart_values=tuple(scores.tolist()),
         seed=seed,
         budget=budget,
     )
@@ -355,12 +346,11 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     elements that also FIT the residual, not just point in its direction, and
     the best iterates, the warm start's exact params among them, are ranked
     by the gain of their clamped coefficient, the one the loop accepts on.
-    A start and its mirror ascend the same gain, so each restart runs from
-    its start alone.
+    It searches the same entries as `ascend`, one per restart.
     """
     return _search(quad, spec, residual.values(quad), _objective_gain,
                    lambda h, w, v: fit(h, w, v, spec.domain.q)[1],
-                   _starts(spec, budget, seed, warm_start), warm_start, budget, threads)[1]
+                   budget, seed, warm_start, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,
@@ -368,8 +358,8 @@ def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOra
              warm_start: RepNet | None = None) -> AdversaryResult:
     """Lower-bound estimate of the observer metric between f and g.
 
-    Symmetric in (f, g): every restart ascends from a start and its mirror,
-    and swapping f and g swaps the two.
+    Symmetric in (f, g) bit for bit: f - g and g - f are exact negatives,
+    and `ascend` climbs |<h, f - g>|, which negation leaves unchanged.
     """
     diff = oracle_from_values(quad, f.values(quad) - g.values(quad), "difference")
     return ascend(quad, spec, diff, budget, seed, threads=threads, warm_start=warm_start)

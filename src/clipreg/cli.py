@@ -79,7 +79,7 @@ def cmd_decompose(args) -> int:
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
     if args.verify:
-        return _print_verdict(certify_split(written, quad, target, cfg.domain.q))
+        return _print_verdict(certify_split(written, quad, target, cfg.epsilon, cfg.dict_spec))
     return 0
 
 
@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
         return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
     quad, target, _ = _setup(cfg, cfg.domain)
     try:
-        verdict = certify_split(report, quad, target, cfg.domain.q)
+        verdict = certify_split(report, quad, target, cfg.epsilon, cfg.dict_spec)
     except DecomposeError as e:  # a well-typed field out of range
         return _malformed_report(args.report, f"field {e.param!r}: {e}")
     return _print_verdict(verdict)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clipreg.netcore import (ClipregError, DomainSpec, NetError, RepCert, RepNet,
-                             compose_parallel, net_from_dict, net_to_dict, zero_net)
+from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
+                             net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import (Budget, DictSpec, ascend, best_gain_element, fit,
                                invisibility_audit)
@@ -212,17 +212,20 @@ def _built(field: str, build, *args, **kwargs):
         raise DecomposeError(str(e), f"{field}.{e.param}" if e.param else field) from e
 
 
-def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -> dict:
+def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: float,
+                  spec: DictSpec) -> dict:
     """Pure re-verification of a report in its written form (``to_dict()`` or
-    the parsed ``report.json``): g rebuilt from the stored picks and their
-    coefficients, the residual, stage bound, monotone trace, certificate
-    arithmetic, and the audit threshold.
+    the parsed ``report.json``) against the run's epsilon and dictionary: its
+    epsilon and stage budget, g rebuilt from the stored picks and their
+    coefficients, the residual, stage bound, monotone trace, certificates,
+    and the audit threshold.
 
     A field of the right JSON type but out of range (a net, pick or
     certificate that cannot be built, or g on another dimension than the
     quadrature or in another weight box than [-q, q]) raises DecomposeError
     naming the field."""
     checks = []
+    q, m_budget = spec.domain.q, m_budget_for(epsilon)
 
     if report["g"]["n"] != quad.n:
         raise DecomposeError(f"net dimension {report['g']['n']} != quadrature dimension "
@@ -233,9 +236,12 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
     picks = report["trace"]["picks"]
     elements = [_built(f"trace.picks[{i}].element", net_from_dict, p["element"])
                 for i, p in enumerate(picks)]
-    domain = DomainSpec(quad.n, q)
     rebuilt = (_built("trace.picks", compose_parallel, elements, [p["lambda"] for p in picks],
-                      domain) if picks else zero_net(domain))
+                      spec.domain) if picks else zero_net(spec.domain))
+    checks.append(("epsilon", report["epsilon"] == epsilon,
+                   f"reported {report['epsilon']} vs configured {epsilon}"))
+    checks.append(("m_budget", report["m_budget"] == m_budget,
+                   f"reported {report['m_budget']} vs ceil(1/eps^2) = {m_budget}"))
     checks.append(("g_from_picks", net_to_dict(rebuilt) == report["g"],
                    "g is the composition of the stored picks with their lambdas"))
 
@@ -244,12 +250,11 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
     checks.append(("residual_l2_sq", abs(res_sq - report["residual_l2_sq"]) <= 1e-10,
                    f"recomputed {res_sq} vs reported {report['residual_l2_sq']}"))
 
-    checks.append(("stage_bound", report["m_prime"] <= report["m_budget"],
-                   f"m'={report['m_prime']} vs budget {report['m_budget']}"))
+    checks.append(("stage_bound", report["m_prime"] <= m_budget,
+                   f"m'={report['m_prime']} vs budget {m_budget}"))
     checks.append(("m_prime_picks", report["m_prime"] == len(picks),
                    f"m'={report['m_prime']} vs {len(picks)} stored picks"))
 
-    epsilon = report["epsilon"]
     t0 = report["trace"]["t0"]
     checks.append(("trace_monotone", _non_increasing([t0] + [p["t_after"] for p in picks]),
                    "energy levels non-increasing"))
@@ -257,8 +262,11 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, q: float) -
                    "every accepted gain > eps^2"))
     checks.append(("trace_t0", t0 <= 1.0 + 1e-9, f"t0={t0}"))
 
-    conservative = _built("conservative_cert", RepCert, **report["conservative_cert"])
+    conservative = RepCert(2 ** len(picks) * spec.d, spec.r + len(picks))
     constructive = _built("constructive_cert", RepCert, **report["constructive_cert"])
+    checks.append(("cert_conservative",
+                   report["conservative_cert"] == {"d": conservative.d, "r": conservative.r},
+                   f"reported {report['conservative_cert']} vs (2^m' d | r + m') {conservative}"))
     checks.append(("cert_dominance", conservative.dominates(constructive),
                    f"{conservative} dominates {constructive}"))
     checks.append(("cert_constructive", g.satisfies(constructive),

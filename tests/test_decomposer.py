@@ -21,6 +21,7 @@ from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle
 
 FAST = Budget(restarts=16, iterations=120)
+EPS = 0.4
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +30,15 @@ def run_step():
     dom = DomainSpec(2, 1.0)
     quad = build_quadrature(dom, "low-discrepancy", 4096, seed=3)
     f = zoo("step", {"theta": 0.0}, dom)
-    report = decompose(quad, DictSpec(2, 1, dom), f, epsilon=0.4,
+    report = decompose(quad, DictSpec(2, 1, dom), f, epsilon=EPS,
                        budget=FAST, seed=42)
     return dom, quad, f, report
+
+
+def _certify(report: dict, run_step):
+    """certify_split against run_step's own epsilon and dictionary."""
+    dom, quad, f, _ = run_step
+    return certify_split(report, quad, f, EPS, DictSpec(2, 1, dom))
 
 
 class TestMBudget:
@@ -114,8 +121,8 @@ class TestDecompose:
         assert report.g.cert == report.constructive_cert
 
     def test_certify_split_passes(self, run_step):
-        dom, quad, f, report = run_step
-        verdict = certify_split(report.to_dict(), quad, f, dom.q)
+        _, _, _, report = run_step
+        verdict = _certify(report.to_dict(), run_step)
         assert verdict["ok"], verdict["details"]
 
     def test_zero_function_needs_no_stages(self, dom2, quad2):
@@ -175,7 +182,7 @@ class TestDecompose:
 
 class TestReportRoundTrip:
     def test_dict_round_trip(self, run_step):
-        dom, quad, f, report = run_step
+        _, quad, _, report = run_step
         clone = json.loads(json.dumps(report.to_dict()))
         assert clone["m_prime"] == report.m_prime
         assert clone["residual_l2_sq"] == report.residual_l2_sq
@@ -184,7 +191,7 @@ class TestReportRoundTrip:
         gv = oracle_from_net(report.g).values(quad)
         cv = oracle_from_net(net_from_dict(clone["g"])).values(quad)
         assert np.array_equal(gv, cv)
-        verdict = certify_split(clone, quad, f, dom.q)
+        verdict = _certify(clone, run_step)
         assert verdict["ok"], verdict["details"]
 
     def test_schema_version_present(self, run_step):
@@ -198,37 +205,51 @@ def _check(verdict, name):
 
 class TestCertifySplit:
     def test_flags_tampered_residual(self, run_step):
-        dom, quad, f, report = run_step
+        _, _, _, report = run_step
         broken = report.to_dict()
         broken["residual_l2_sq"] = report.residual_l2_sq + 0.5
-        verdict = certify_split(broken, quad, f, dom.q)
+        verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, "residual_l2_sq")["ok"]
 
     def test_flags_tampered_trace(self, run_step):
-        dom, quad, f, report = run_step
+        _, _, _, report = run_step
         broken = report.to_dict()
         broken["trace"]["t0"] = 1.5
-        verdict = certify_split(broken, quad, f, dom.q)
+        verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, "trace_t0")["ok"]
 
     def test_flags_g_not_built_from_picks(self, run_step):
-        dom, quad, f, report = run_step
+        _, _, _, report = run_step
         assert report.m_prime >= 1
-        assert _check(certify_split(report.to_dict(), quad, f, dom.q), "g_from_picks")["ok"]
+        assert _check(_certify(report.to_dict(), run_step), "g_from_picks")["ok"]
         broken = report.to_dict()
         broken["trace"]["picks"][0]["lambda"] /= 2.0
-        verdict = certify_split(broken, quad, f, dom.q)
+        verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, "g_from_picks")["ok"]
 
     def test_flags_m_prime_not_the_pick_count(self, run_step):
-        dom, quad, f, report = run_step
+        _, _, _, report = run_step
         assert report.m_prime >= 1
-        assert _check(certify_split(report.to_dict(), quad, f, dom.q), "m_prime_picks")["ok"]
+        assert _check(_certify(report.to_dict(), run_step), "m_prime_picks")["ok"]
         broken = report.to_dict()
         broken["m_prime"] = 0
-        verdict = certify_split(broken, quad, f, dom.q)
+        verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, "m_prime_picks")["ok"]
+
+    @pytest.mark.parametrize("field, value, check", [
+        ("epsilon", 0.45, "epsilon"),
+        ("m_budget", 1000, "m_budget"),
+        ("conservative_cert", {"d": 999, "r": 999}, "cert_conservative"),
+    ], ids=["epsilon", "m-budget", "conservative-cert"])
+    def test_flags_report_not_of_the_config(self, run_step, field, value, check):
+        _, _, _, report = run_step
+        assert _check(_certify(report.to_dict(), run_step), check)["ok"]
+        broken = report.to_dict()
+        broken[field] = value
+        verdict = _certify(broken, run_step)
+        assert not verdict["ok"]
+        assert not _check(verdict, check)["ok"]

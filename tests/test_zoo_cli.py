@@ -251,6 +251,24 @@ class TestCliVerify:
         assert main(["verify", "--report", str(report_path),
                      "--config", cfg_path]) == 1
 
+    def test_verify_holds_the_report_to_the_config_epsilon(self, tmp_path, capsys):
+        # a report that claims a larger epsilon would loosen the gain and
+        # audit thresholds it is checked against
+        report_path = tmp_path / "report.json"
+        cfg_path = write_config(tmp_path, output={
+            "report": str(report_path),
+            "trace": str(tmp_path / "t.csv"),
+            "witness": str(tmp_path / "w.json"),
+        })
+        assert main(["decompose", "--config", cfg_path]) == 0
+        obj = json.loads(report_path.read_text())
+        obj["epsilon"] = 0.7
+        report_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report_path),
+                     "--config", cfg_path]) == 1
+        assert "epsilon: FAILED" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text, named", [
         ("{}", "'g'"),
         ('{"config_echo": {}}', "'g'"),
