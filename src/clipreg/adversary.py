@@ -125,14 +125,15 @@ def fit(h, weights, values, q: float):
     return lam, 2.0 * lam * c - lam * lam * h2
 
 
-def _forward(X, Ws, bs, Zs, As):
-    """Forward pass of B stacked nets at the nodes X (N, n), unit-major.
+def _forward(XT, Ws, bs, Zs, As):
+    """Forward pass of B stacked nets at the nodes XT, a contiguous (n, N)
+    matrix, unit-major.
 
     Ws[l]: (B, out, in); bs[l]: (B, out).  Writes layer l's pre-activation
     into Zs[l] and its clipped output into As[l], both (B, out, N).  Returns
     h = As[-1][:, 0]: (B, N).
     """
-    A = X.T
+    A = XT
     for W, b, Z, A_out in zip(Ws, bs, Zs, As):
         np.matmul(W, A, out=Z)
         Z += b[:, :, None]
@@ -140,11 +141,11 @@ def _forward(X, Ws, bs, Zs, As):
     return A[:, 0]
 
 
-def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
+def _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
     """Backpropagate dJ/dh = Gc, (B, N), through the pass `_forward` left in
-    Zs and As, writing dJ/dW into gWs and dJ/db into gbs.  masks, dZs and Gs
-    are scratch buffers shaped like Zs."""
-    inputs = [X.T] + As[:-1]
+    Zs and As from the nodes XT (n, N), writing dJ/dW into gWs and dJ/db
+    into gbs.  masks, dZs and Gs are scratch buffers shaped like Zs."""
+    inputs = [XT] + As[:-1]
     G = Gc[:, None, :]
     for l in range(len(Ws) - 1, -1, -1):
         # Z == A exactly where the clip is inactive, kinks included;
@@ -154,7 +155,10 @@ def _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
         np.sum(dZ, axis=2, out=gbs[l])
         np.matmul(dZ, inputs[l].swapaxes(-1, -2), out=gWs[l])
         if l > 0:
-            G = np.matmul(Ws[l].transpose(0, 2, 1), dZ, out=Gs[l - 1])
+            # through a layer of one unit W^T dZ is an outer product, which
+            # numpy's batched matmul runs off BLAS; broadcast gives its bits
+            Wt = Ws[l].transpose(0, 2, 1)
+            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=Gs[l - 1])
 
 
 def _buffers(Ws, N: int, dtype):
@@ -164,24 +168,25 @@ def _buffers(Ws, N: int, dtype):
     return Zs, As, dZs, Gs, [np.empty(Z.shape, dtype=bool) for Z in Zs]
 
 
-def _ascend_chunk(X, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
-    """Ascend a chunk of parameter sets on a batched objective of h.
+def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
+    """Ascend a chunk of parameter sets on a batched objective of h at the
+    nodes XT, a contiguous (n, N) matrix.
 
     Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: the
     chunk's `_buffers`.  `objective(h)` returns the per-entry value (B,) and
     its gradient coefficients dJ/dh, (B, N).
     Returns per-entry best objective and the parameters achieving it.  No
     two chunks share a buffer, so chunks can run concurrently; every array
-    takes the dtype of X, which the parameters and objective share.
+    takes the dtype of XT, which the parameters and objective share.
     """
     B = len(bs[0])
     Zs, As, dZs, Gs, masks = bufs
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    best_obj = np.full(B, -np.inf, X.dtype)
+    best_obj = np.full(B, -np.inf, XT.dtype)
     best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
     step = budget.step0
     for it in range(budget.iterations + 1):
-        obj, Gc = objective(_forward(X, Ws, bs, Zs, As))
+        obj, Gc = objective(_forward(XT, Ws, bs, Zs, As))
         improved = obj > best_obj
         np.copyto(best_obj, obj, where=improved)
         for W, b, best_W, best_b in zip(Ws, bs, best_Ws, best_bs):
@@ -189,7 +194,7 @@ def _ascend_chunk(X, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
             np.copyto(best_b, b, where=improved[:, None])
         if it == budget.iterations:
             break
-        _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
+        _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
         # normalized subgradient step, then projection onto the boxes
         sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
                  for gW, gb in zip(gWs, gbs))
@@ -226,18 +231,20 @@ def _search_sample(quad: Quadrature):
 
 def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: int):
     """Run chunked multi-start ascent of `objective` at the search nodes X
-    from the nets `entries`; returns per-entry best params stacked.
+    (N, n) from the nets `entries`; returns per-entry best params stacked.
 
     The search runs in float32: it only chooses which nets get rescored in
     float64 on the full quadrature.  The returned params are float64, clipped
     again to the boxes, since float32(q) may exceed q.  Chunks have a fixed
-    size, so results are byte-identical for any worker count.
+    size, so results are byte-identical for any worker count.  Every chunk
+    reads one contiguous (n, N) copy of the nodes: numpy's matmul leaves
+    BLAS on the strided view X.T.
     """
     widths = spec.arch()
     L = len(widths) - 1
     q = spec.domain.q
     bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
-    X = X.astype(np.float32)
+    XT = np.ascontiguousarray(X.T, dtype=np.float32)
     Ws0, bs0 = ([np.stack([getattr(net.layers[l], k) for net in entries], dtype=np.float32)
                  for l in range(L)] for k in "Wb")
 
@@ -245,10 +252,10 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
     # each chunk's buffers come from the calling thread: glibc keeps what a
     # worker thread frees in that thread's arena, where the rescore that
     # follows cannot reuse it
-    bufs = [_buffers([W[part] for W in Ws0], len(X), np.float32) for part in parts]
+    bufs = [_buffers([W[part] for W in Ws0], XT.shape[1], np.float32) for part in parts]
 
     def run_chunk(part, buf):
-        return _ascend_chunk(X, objective, [W[part] for W in Ws0], [b[part] for b in bs0], buf,
+        return _ascend_chunk(XT, objective, [W[part] for W in Ws0], [b[part] for b in bs0], buf,
                              q, bias_bounds, budget)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -262,7 +269,8 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
 
 
 def _forward_all(X, Ws, bs):
-    """Full-quadrature forward pass for a stack of parameter sets: (E, N).
+    """Full-quadrature forward pass for a stack of parameter sets at the
+    nodes X (N, n): (E, N), run on a contiguous (n, N) copy of X.
 
     Each layer clips in place and reads only the layer before it, so two
     buffers take turns: even layers use one, odd layers the other.
@@ -271,7 +279,7 @@ def _forward_all(X, Ws, bs):
     widths = [b.shape[1] for b in bs]
     pair = [np.empty(E * max(widths[k::2], default=0) * N) for k in (0, 1)]
     bufs = [pair[l % 2][:E * w * N].reshape(E, w, N) for l, w in enumerate(widths)]
-    return _forward(X, Ws, bs, bufs, bufs)
+    return _forward(np.ascontiguousarray(X.T), Ws, bs, bufs, bufs)
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):

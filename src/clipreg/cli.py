@@ -15,7 +15,7 @@ from dataclasses import replace
 from clipreg.config import REPORT_SHAPE, ConfigError, RunConfig, load_config, owned
 from clipreg.netcore import DomainSpec, NetError
 from clipreg.measure import MeasureError, build_quadrature
-from clipreg.adversary import ascend
+from clipreg.adversary import _CHUNK, ascend
 from clipreg.decomposer import DecomposeError, certify_split, decompose
 from clipreg.zoo import ZOO, zoo
 
@@ -149,10 +149,15 @@ def cmd_verify(args) -> int:
 
 
 def _threads(text: str) -> int:
-    # every witness search runs on a thread pool of this many workers
+    # a witness search runs its restarts in chunks of _CHUNK on a thread pool
+    # of this many workers, so a search of at most _CHUNK restarts runs on one
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+_THREADS_HELP = (f"worker threads for each witness search; only searches of more than "
+                 f"{_CHUNK} restarts are split across them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,19 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="run the energy-increment decomposition")
     p.add_argument("--config", required=True)
     p.add_argument("--verify", action="store_true", help="re-verify the report after the run")
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("adversary", help="witness search against the configured target")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("sweep", help="repeat the decomposition over input dimensions")
     p.add_argument("--config", required=True)
     p.add_argument("--n", required=True, help="comma-separated dimensions, e.g. 2,4,8,16")
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--threads", type=_threads, default=1)
+    p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("zoo", help="target zoo utilities")

@@ -69,6 +69,8 @@ class Layer:
         b = np.ascontiguousarray(np.asarray(self.b, dtype=np.float64))
         if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
             raise NetError(f"layer shape mismatch: W {W.shape}, b {b.shape}")
+        if W.size == 0:
+            raise NetError(f"empty layer: W {W.shape}")
         W.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "W", W)
@@ -122,9 +124,10 @@ class RepNet:
             if layer.d_in != prev:
                 raise NetError(
                     f"layer {i}: input width {layer.d_in} != previous width {prev}")
-            if np.max(np.abs(layer.W)) > self.domain.q + _WEIGHT_TOL:
+            # written so that NaN fails the box, as it fails every <=
+            if not np.all(np.abs(layer.W) <= self.domain.q + _WEIGHT_TOL):
                 raise NetError(f"layer {i}: weight outside [-q, q]")
-            if np.max(np.abs(layer.b)) > self.domain.bias_bound(layer.d_in) + _WEIGHT_TOL:
+            if not np.all(np.abs(layer.b) <= self.domain.bias_bound(layer.d_in) + _WEIGHT_TOL):
                 raise NetError(f"layer {i}: bias outside clamp range")
             prev = layer.d_out
         if prev != 1:

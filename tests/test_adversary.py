@@ -287,13 +287,37 @@ class TestInvisibilityAudit:
 
 
 def kernel_step(X, Ws, bs, Gc):
-    """One forward and backward pass of the adversary kernel, on fresh buffers
-    of the dtype of X."""
+    """One forward and backward pass of the adversary kernel at the nodes X
+    (N, n), on fresh buffers of the dtype of X."""
+    XT = np.ascontiguousarray(X.T)
     Zs, As, dZs, Gs, masks = _buffers(Ws, len(X), X.dtype)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    h = _forward(X, Ws, bs, Zs, As).copy()
-    _backward(X, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
+    h = _forward(XT, Ws, bs, Zs, As).copy()
+    _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
     return h, gWs, gbs
+
+
+def strided_step(X, Ws, bs, Gc):
+    """The kernel's arithmetic on the slow forms: the forward pass reads the
+    strided view X.T, layer 0's dW is dZ @ X, and every W^T dZ is a batched
+    matmul."""
+    A, inputs, Zs, As = X.T, [], [], []
+    for W, b in zip(Ws, bs):
+        inputs.append(A)
+        Z = np.matmul(W, A)
+        Z += b[:, :, None]
+        A = np.clip(Z, -1.0, 1.0)
+        Zs.append(Z)
+        As.append(A)
+    G = Gc[:, None, :]
+    gWs, gbs = [None] * len(Ws), [None] * len(Ws)
+    for l in range(len(Ws) - 1, -1, -1):
+        dZ = G * (Zs[l] == As[l])
+        gbs[l] = np.sum(dZ, axis=2)
+        gWs[l] = np.matmul(dZ, inputs[l].swapaxes(-1, -2))
+        if l > 0:
+            G = np.matmul(Ws[l].transpose(0, 2, 1), dZ)
+    return A[:, 0], gWs, gbs
 
 
 def random_stack(rng, widths, B):
@@ -338,6 +362,31 @@ class TestKernel:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * max(1.0, np.abs(ref).max()))
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_contiguous_nodes_give_the_strided_bits(self, widths):
+        # the kernel reads one contiguous (n, N) node matrix and takes k = 1
+        # layers as a broadcast product only to stay on numpy's fast paths;
+        # the search runs it forward and backward in float32
+        rng = np.random.default_rng(sum(widths))
+        B, N = 64, 2048
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
+        Gc = rng.uniform(-1.0, 1.0, (B, N)).astype(np.float32)
+        (h, gWs, gbs), (h_ref, gWs_ref, gbs_ref) = (
+            step(X, Ws, bs, Gc) for step in (kernel_step, strided_step))
+        for got, ref in zip([h] + gWs + gbs, [h_ref] + gWs_ref + gbs_ref):
+            assert got.dtype == np.float32 and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_forward_all_gives_the_strided_bits(self, widths):
+        # the float64 rescore runs the forward pass alone, on a contiguous
+        # copy of the full quadrature's nodes
+        rng = np.random.default_rng(sum(widths))
+        X = rng.uniform(-1.0, 1.0, (4096, widths[0]))
+        Ws, bs = random_stack(rng, widths, 64)
+        h_ref = strided_step(X, Ws, bs, np.zeros((64, len(X))))[0]
+        assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
+
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_negated_target_climbs_the_same_bits(self, widths):
         # the objective is |<h, t>|, so ascending it on t and on -t from the
         # same starts takes the same steps: one climb per restart covers both
@@ -349,13 +398,13 @@ class TestKernel:
         weights, t = np.full(N, 1.0 / N), rng.uniform(-1.0, 1.0, N)
         dom = DomainSpec(widths[0], 1.0)
         bounds = [dom.bias_bound(d_in) for d_in in widths[:-1]]
-        bufs = _buffers(Ws, N, np.float32)
+        bufs, XT = _buffers(Ws, N, np.float32), np.ascontiguousarray(X.T)
         # _ascend_chunk updates its params in place, so each run gets copies
         obj, best_Ws, best_bs = _ascend_chunk(
-            X, _objective_linear(weights, t), [W.copy() for W in Ws], [b.copy() for b in bs],
+            XT, _objective_linear(weights, t), [W.copy() for W in Ws], [b.copy() for b in bs],
             bufs, dom.q, bounds, Budget(1, 40))
         n_obj, n_Ws, n_bs = _ascend_chunk(
-            X, _objective_linear(weights, -t), [W.copy() for W in Ws], [b.copy() for b in bs],
+            XT, _objective_linear(weights, -t), [W.copy() for W in Ws], [b.copy() for b in bs],
             bufs, dom.q, bounds, Budget(1, 40))
         assert np.array_equal(obj, n_obj)
         for got, ref in zip(n_Ws + n_bs, best_Ws + best_bs):

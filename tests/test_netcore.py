@@ -228,6 +228,16 @@ class TestValidation:
         with pytest.raises(NetError):
             RepNet(dom2, (Layer(np.zeros((1, 2)), np.array([3.5])),))
 
+    @pytest.mark.parametrize("W, b", [([[math.nan, 0.0]], [0.0]), ([[0.0, 0.0]], [math.nan])],
+                             ids=["nan-weight", "nan-bias"])
+    def test_nan_outside_box(self, dom2, W, b):
+        with pytest.raises(NetError):
+            RepNet(dom2, (Layer(np.array(W), np.array(b)),))
+
+    def test_empty_layer_rejected(self):
+        with pytest.raises(NetError):
+            Layer(np.zeros((0, 2)), np.zeros(0))
+
     def test_q_below_one_rejected(self):
         with pytest.raises(NetError):
             DomainSpec(2, 0.5)
@@ -251,6 +261,13 @@ class TestSerialization:
         back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
         assert np.array_equal(back.layers[0].W, net.layers[0].W)
         assert np.array_equal(back.layers[0].b, net.layers[0].b)
+
+    def test_nan_from_dict_names_layers(self, dom2):
+        obj = net_to_dict(zero_net(dom2))
+        obj["layers"][0][0]["w"][1] = math.nan
+        with pytest.raises(NetError) as err:
+            net_from_dict(obj)
+        assert err.value.param == "layers"
 
 
 @settings(max_examples=30, deadline=None)
