@@ -97,20 +97,16 @@ def _objective_linear(weights, values):
     return eval_obj
 
 
-def _objective_gain(weights, values):
-    """J_b = <h,res>^2 / ||h||^2, the energy decrease of the unclamped
-    optimally scaled pick under the quadrature weights.  The polish ascends
-    this smooth surrogate; `fit`'s clamped gain ranks what it finds."""
-    weights = weights.astype(np.float32)
-    wres = weights * values.astype(np.float32)
+def _objective_fit(weights, values, q: float):
+    """J_b = `fit`'s clamped gain of h_b toward `values`, and its gradient
+    dJ/dh = 2*lam*weights*(values - lam*h) at the clamped lam.  By the
+    envelope theorem lam's own change drops out: lam maximizes the gain where
+    it is interior and stays at -q or q where it clamps."""
+    weights, values = weights.astype(np.float32), values.astype(np.float32)
 
     def eval_obj(h):
-        c = h @ wres
-        h2 = np.maximum((h * h) @ weights, 1e-12)
-        obj = c * c / h2
-        G = (2.0 * c / h2)[:, None] * wres[None, :] \
-            - ((c / h2) ** 2)[:, None] * (2.0 * weights[None, :] * h)
-        return obj, G
+        lam, gain = fit(h, weights, values, q)
+        return gain, 2.0 * lam[:, None] * weights * (values - lam[:, None] * h)
     return eval_obj
 
 
@@ -350,15 +346,15 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     """The net of highest clamped gain (`fit`) against the residual.
 
     Polishes the plain correlation maximizer for the decomposition stages:
-    every restart ascends the smooth gain <h,res>^2 / ||h||^2, which prefers
-    elements that also FIT the residual, not just point in its direction, and
-    the best iterates, the warm start's exact params among them, are ranked
-    by the gain of their clamped coefficient, the one the loop accepts on.
-    It searches the same entries as `ascend`, one per restart.
+    every restart climbs `fit`'s gain, which prefers elements that also FIT
+    the residual, not just point in its direction, and the best iterates,
+    the warm start's exact params among them, are ranked by that gain on the
+    full quadrature, as the loop accepts on it.  It searches the same entries
+    as `ascend`, one per restart.
     """
-    return _search(quad, spec, residual.values(quad), _objective_gain,
-                   lambda h, w, v: fit(h, w, v, spec.domain.q)[1],
-                   budget, seed, warm_start, threads)[1]
+    q = spec.domain.q
+    return _search(quad, spec, residual.values(quad), lambda w, v: _objective_fit(w, v, q),
+                   lambda h, w, v: fit(h, w, v, q)[1], budget, seed, warm_start, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,

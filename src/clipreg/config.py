@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from clipreg.netcore import ClipregError, DomainSpec
+from clipreg.netcore import ClipregError, DomainSpec, check_seed
 from clipreg.adversary import Budget, DictSpec
 from clipreg.decomposer import m_budget_for
 
@@ -167,8 +167,8 @@ class RunConfig:
 def parse_config(obj: dict) -> RunConfig:
     """Check the shape of a parsed config and build the objects it describes.
 
-    The quadrature scheme and size, the target and the stage dictionary are
-    checked by their owners when the run builds them (``owned`` in the CLI).
+    The quadrature, the target and the stage dictionary are checked by their
+    owners when the run builds them (``owned`` in the CLI).
     """
     _SHAPE(obj, "")
     dom, dic, sv = obj["domain"], obj["dict"], obj["solver"]
@@ -181,7 +181,7 @@ def parse_config(obj: dict) -> RunConfig:
         quadrature=QuadratureSpec(**obj["quadrature"]),
         budget=owned("solver.", Budget, sv["restarts"], sv["iterations"],
                      float(sv["step0"]), float(sv["decay"])),
-        solver_seed=sv["seed"],
+        solver_seed=owned("solver.", check_seed, sv["seed"]),
         target=TargetSpec(obj["target"]["name"], dict(obj["target"].get("params", {}))),
         stage_dict=obj.get("stage_dict", "fixed"),
         output=OutputSpec(**obj.get("output", {})),

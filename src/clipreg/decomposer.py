@@ -39,7 +39,11 @@ def _non_increasing(levels) -> bool:
 def m_budget_for(epsilon: float) -> int:
     if not (0 < epsilon <= 1):
         raise DecomposeError(f"epsilon must lie in (0, 1], got {epsilon}", "epsilon")
-    return math.ceil(1.0 / epsilon ** 2)
+    eps_sq = epsilon ** 2
+    if eps_sq == 0 or math.isinf(1.0 / eps_sq):  # eps^2 underflows; ceil(inf) would raise
+        raise DecomposeError(f"epsilon {epsilon} gives a stage budget 1/eps^2 that is not "
+                             f"finite", "epsilon")
+    return math.ceil(1.0 / eps_sq)
 
 
 @dataclass(frozen=True)
@@ -113,23 +117,24 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
                 budget: Budget, seed: int, threads: int = 1):
     """Best single dictionary step against the residual.
 
-    Returns (element, its values at the nodes, lambda, gain, adversary
-    result).  `ascend` finds the element best correlated with the residual;
-    the polish re-ascends from it and fresh starts, and its winner, ranked by
-    the clamped gain with the correlation witness among the candidates, is
-    the element.  lambda and gain are `fit`'s: the clamped minimizer of
-    ||residual - lam*h||^2 and the exact decrease it achieves.
+    Returns (element, its values at the nodes, lambda, gain).  `ascend`
+    finds the element best correlated with the residual; the polish climbs
+    the clamped gain from it and fresh starts, ranks its candidates, the
+    correlation witness among them, by the same gain, and its winner is the
+    element.  lambda and gain are `fit`'s: the clamped minimizer of
+    ||residual - lam*h||^2 and the exact decrease it achieves, the one the
+    loop accepts on.
     """
     res = ascend(quad, spec, residual, budget, seed, threads=threads)
     # polish: the correlation maximizer points along the residual but may fit
-    # it poorly; re-ascend on the gain objective from the witness and fresh
+    # it poorly; re-ascend on the clamped gain from the witness and fresh
     # starts (fewer of them — the warm start already carries the search)
     polish_budget = replace(budget, restarts=max(8, budget.restarts // 4))
     element = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
                                 threads=threads, warm_start=res.witness)
     hv = element.eval_batch(quad.nodes)
     lam, gain = fit(hv, quad.weights, residual.values(quad), spec.domain.q)
-    return element, hv, float(lam), float(gain), res
+    return element, hv, float(lam), float(gain)
 
 
 def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: float,
@@ -161,7 +166,7 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
         else:
             stage_spec = spec
         residual = oracle_from_values(quad, resvals, f"residual-stage-{k}")
-        element, hv, lam, gain, _ = stage_solve(
+        element, hv, lam, gain = stage_solve(
             quad, stage_spec, residual, budget, seed + _STAGE_SEED_STRIDE * k, threads=threads)
         if gain <= eps_sq:  # strict improvement required; ties reject
             budget_exhausted = False

@@ -140,6 +140,8 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
                            "scheme")
     if size < 1:
         raise MeasureError(f"size must be >= 1, got {size}", "size")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise MeasureError(f"seed must be >= 0, got {seed}", "seed")
     if scheme == "tensor-grid" and spec.n > _TENSOR_GRID_MAX_DIM:
         raise MeasureError(f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} "
                            "(node count explosion)", "scheme")

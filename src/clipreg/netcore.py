@@ -190,12 +190,19 @@ def zero_net(domain: DomainSpec) -> RepNet:
     return RepNet(domain, (Layer(np.zeros((1, domain.n)), np.zeros(1)),))
 
 
+def check_seed(seed: int) -> int:
+    """A seed for numpy's generators, which take no negative integer."""
+    if seed < 0:
+        raise NetError(f"seed must be >= 0, got {seed}", "seed")
+    return seed
+
+
 def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
     """Seeded random network with architecture n -> d^r -> 1: weights
     uniform in [-q, q], drawn W then b layer by layer.  Biases start in
     [-1, 1]: inside the clamp box, away from the dead all-saturated region
     that large |c| produces."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     widths = [domain.n] + [d] * r + [1]
     layers = []
     for d_in, d_out in zip(widths[:-1], widths[1:]):

@@ -19,9 +19,20 @@ def _check_params(name, params, allowed):
                        f"params.{sorted(unknown)[0]}")
 
 
+def _integer(name, params, key, default, low, high=None):
+    """params[key], an integer in [low, high]; a fractional value is
+    rejected, not truncated."""
+    value = params.get(key, default)
+    if not (float(value).is_integer() and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ZooError(f"target {name!r}: {key} must be an integer {bounds}, got {value}",
+                       f"params.{key}")
+    return int(value)
+
+
 def _linear(domain, params):
     _check_params("linear", params, {"seed"})
-    seed = int(params.get("seed", 0))
+    seed = _integer("linear", params, "seed", 0, 0)
     rng = np.random.default_rng(seed)
     xi0 = rng.uniform(-domain.q, domain.q, size=domain.n)
     c = float(rng.uniform(-1.0, 1.0))
@@ -53,10 +64,8 @@ def _sign_product(domain, params):
 
 def _random_grid(domain, params):
     _check_params("random-grid", params, {"k", "seed"})
-    k = int(params.get("k", 2))
-    seed = int(params.get("seed", 0))
-    if not 1 <= k <= 16:
-        raise ZooError(f"target 'random-grid': k must lie in [1,16], got {k}", "params.k")
+    k = _integer("random-grid", params, "k", 2, 1, 16)
+    seed = _integer("random-grid", params, "seed", 0, 0)
     cells = 2 ** k
 
     def fn(X):
@@ -72,13 +81,9 @@ def _random_grid(domain, params):
 
 def _planted_net(domain, params):
     _check_params("planted-net", params, {"d", "r", "seed"})
-    d = int(params.get("d", 1))
-    r = int(params.get("r", 0))
-    seed = int(params.get("seed", 0))
-    if d < 1:
-        raise ZooError(f"target 'planted-net': need d >= 1, got {d}", "params.d")
-    if r < 0:
-        raise ZooError(f"target 'planted-net': need r >= 0, got {r}", "params.r")
+    d = _integer("planted-net", params, "d", 1, 1)
+    r = _integer("planted-net", params, "r", 0, 0)
+    seed = _integer("planted-net", params, "seed", 0, 0)
     net = planted_net(domain, d, r, seed)
     return FunctionOracle(net.eval_batch, f"planted-net(d={d},r={r},seed={seed})")
 

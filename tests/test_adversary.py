@@ -12,6 +12,7 @@ from clipreg.adversary import (
     _buffers,
     _forward,
     _forward_all,
+    _objective_fit,
     _objective_linear,
     _starts,
     ascend,
@@ -29,7 +30,7 @@ from clipreg.measure import (
     oracle_from_values,
     sigma_l1,
 )
-from clipreg.netcore import DomainSpec, Layer, RepCert, RepNet, net_to_dict
+from clipreg.netcore import DomainSpec, Layer, NetError, RepCert, RepNet, net_to_dict
 from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle, reference_step
 
@@ -171,6 +172,13 @@ class TestStarts:
             for got, want in zip(net.layers, ref.layers):
                 assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
 
+    def test_negative_seed_rejected(self, dom2, quad2):
+        # restart i starts from seed ^ i, negative exactly when seed is
+        f = FunctionOracle(lambda X: X[:, 0], "lin")
+        with pytest.raises(NetError) as exc:
+            ascend(quad2, DictSpec(2, 1, dom2), f, Budget(2, 5), seed=-1)
+        assert exc.value.param == "seed"
+
     def test_warm_start_takes_restart_zero(self, dom2):
         spec = DictSpec(2, 1, dom2)
         warm = planted_net(dom2, 2, 1, seed=77)
@@ -209,9 +217,52 @@ class TestFit:
         assert np.array_equal(lam, [0.0, 0.0]) and np.array_equal(gain, [0.0, 0.0])
 
 
+class TestObjectiveFit:
+    """The polish climbs `fit`'s clamped gain: run in float64 here, on
+    weights and values that float32 holds exactly, so the objective's float32
+    copies of them change no bit."""
+
+    Q = 0.75
+
+    @pytest.fixture
+    def rows(self):
+        # row 0: lam interior; rows 1 and 2: lam clamps at +q and at -q
+        rng = np.random.default_rng(8)
+        N = 64
+        values = rng.uniform(-1.0, 1.0, N).astype(np.float32).astype(np.float64)
+        weights = np.full(N, 1.0 / N)
+        h = np.stack([np.clip(1.6 * values + rng.normal(0, 0.2, N), -1, 1),
+                      0.2 * values + rng.normal(0, 0.02, N),
+                      -0.2 * values + rng.normal(0, 0.02, N)])
+        lam = fit(h, weights, values, self.Q)[0]
+        assert abs(lam[0]) < self.Q and lam[1] == self.Q and lam[2] == -self.Q
+        return h, weights, values
+
+    def test_value_is_fit_gain(self, rows):
+        h, weights, values = rows
+        gain, _ = _objective_fit(weights, values, self.Q)(h)
+        assert gain.dtype == np.float64
+        assert np.array_equal(gain, fit(h, weights, values, self.Q)[1])
+
+    def test_gradient_matches_central_difference(self, rows):
+        h, weights, values = rows
+        _, grad = _objective_fit(weights, values, self.Q)(h)
+        delta = 1e-6
+        for b, row in enumerate(h):
+            step = delta * np.eye(len(row))
+            diff = (fit(row + step, weights, values, self.Q)[1]
+                    - fit(row - step, weights, values, self.Q)[1]) / (2 * delta)
+            np.testing.assert_allclose(grad[b], diff, rtol=1e-6, atol=1e-10)
+
+    def test_float32_search_dtype(self, rows):
+        h, weights, values = rows
+        gain, grad = _objective_fit(weights, values, self.Q)(h.astype(np.float32))
+        assert gain.dtype == grad.dtype == np.float32
+
+
 class TestBestGainElement:
-    # on sign-product the coefficient clamps at q, where the unclamped gain
-    # <h,res>^2/||h||^2 overstates what a pick achieves
+    # on sign-product the coefficient clamps at q, so the polish climbs and
+    # ranks by the clamped gain, the decrease a pick achieves
     def test_gain_never_below_correlation_pick(self, dom2, quad2):
         spec = DictSpec(2, 1, dom2)
         for f in (FunctionOracle(lambda X: np.sign(X[:, 0]), "step"),

@@ -70,6 +70,25 @@ BAD_FIELDS = [
                  id="tensor-grid-n1-companion"),
     pytest.param("stage_dict", {"stage_dict": "shrinking"}, id="unknown-stage-dict"),
     pytest.param("output.trace", {"output": {"trace": 5}}, id="trace-int"),
+    pytest.param("epsilon", {"epsilon": 1e-200}, id="epsilon-square-underflows"),
+    pytest.param("epsilon", {"epsilon": 1e-160}, id="epsilon-stage-budget-inf"),
+    pytest.param("quadrature.seed",
+                 {"quadrature": {"scheme": "low-discrepancy", "size": 1024, "seed": -1}},
+                 id="quadrature-seed-negative"),
+    pytest.param("solver.seed", {"solver": solver(seed=-8000)}, id="solver-seed-negative"),
+    *(pytest.param("target.params.seed", {"target": {"name": name, "params": params}},
+                   id=f"{name}-seed-negative")
+      for name, params in (("planted-net", {"seed": -2}), ("linear", {"seed": -2}),
+                           ("random-grid", {"k": 2, "seed": -2}))),
+    pytest.param("target.params.k", {"target": {"name": "random-grid", "params": {"k": 2.5}}},
+                 id="random-grid-k-fractional"),
+    pytest.param("target.params.seed",
+                 {"target": {"name": "random-grid", "params": {"seed": 2.9}}},
+                 id="random-grid-seed-fractional"),
+    pytest.param("target.params.d", {"target": {"name": "planted-net", "params": {"d": 1.5}}},
+                 id="planted-net-d-fractional"),
+    pytest.param("target.params.r", {"target": {"name": "planted-net", "params": {"r": 0.5}}},
+                 id="planted-net-r-fractional"),
 ]
 
 
@@ -100,6 +119,15 @@ class TestZoo:
     def test_out_of_range_param_rejected(self, dom2):
         with pytest.raises(ZooError):
             zoo("random-grid", {"k": 17, "seed": 1}, dom2)
+
+    def test_integral_float_params_accepted(self, dom2, quad2):
+        # only a fractional part is rejected: 2.0 is the integer 2
+        for name, params in (("random-grid", {"k": 2, "seed": 3}),
+                             ("planted-net", {"d": 2, "r": 1, "seed": 3}),
+                             ("linear", {"seed": 3})):
+            as_floats = {key: float(v) for key, v in params.items()}
+            assert np.array_equal(zoo(name, as_floats, dom2).values(quad2),
+                                  zoo(name, params, dom2).values(quad2)), name
 
     def test_planted_net_cert_and_determinism(self, dom2, quad2):
         a = planted_net(dom2, 2, 1, seed=9)
@@ -154,6 +182,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"config field {field_name!r}" in err
+        assert "Traceback" not in err
+
+    def test_adversary_names_negative_solver_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["adversary", "--config", write_config(tmp_path, solver=solver(seed=-1))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config field 'solver.seed'" in err
         assert "Traceback" not in err
 
     def test_seed_must_be_integer(self):
