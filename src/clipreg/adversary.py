@@ -10,6 +10,7 @@ never "invisible".
 from __future__ import annotations
 
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -121,68 +122,76 @@ def fit(h, weights, values, q: float):
     return lam, 2.0 * lam * c - lam * lam * h2
 
 
-def _forward(XT, Ws, bs, Zs, As):
+def _forward(XT, Ws, bs, Zs, As, masks=None):
     """Forward pass of B stacked nets at the nodes XT, a contiguous (n, N)
     matrix, unit-major.
 
     Ws[l]: (B, out, in); bs[l]: (B, out).  Writes layer l's pre-activation
-    into Zs[l] and its clipped output into As[l], both (B, out, N).  Returns
-    h = As[-1][:, 0]: (B, N).
+    into Zs[l] and its clipped output into As[l], both (B, out, N), and,
+    when `masks` is given, the clip masks Zs[l] == As[l] into masks[l] for
+    `_backward`.  Zs[l] may be As[l] (the clip then runs in place) or a view
+    of a scratch that every layer overwrites.  Returns h = As[-1][:, 0]: (B, N).
     """
     A = XT
-    for W, b, Z, A_out in zip(Ws, bs, Zs, As):
+    for l, (W, b, Z, A_out) in enumerate(zip(Ws, bs, Zs, As)):
         np.matmul(W, A, out=Z)
         Z += b[:, :, None]
         A = np.clip(Z, -1.0, 1.0, out=A_out)
+        if masks is not None:
+            # Z == A exactly where the clip is inactive, kinks included;
+            # the subgradient there is 1 (the interior value), 0 outside
+            np.equal(Z, A, out=masks[l])
     return A[:, 0]
 
 
-def _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs):
+def _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds):
     """Backpropagate dJ/dh = Gc, (B, N), through the pass `_forward` left in
-    Zs and As from the nodes XT (n, N), writing dJ/dW into gWs and dJ/db
-    into gbs.  masks, dZs and Gs are scratch buffers shaped like Zs."""
+    As and masks from the nodes XT (n, N), writing dJ/dW into gWs and dJ/db
+    into gbs.  Ds[l], shaped like As[l], takes layer l's dJ/dZ."""
     inputs = [XT] + As[:-1]
-    G = Gc[:, None, :]
+    dZ = np.multiply(Gc[:, None, :], masks[-1], out=Ds[-1])
     for l in range(len(Ws) - 1, -1, -1):
-        # Z == A exactly where the clip is inactive, kinks included;
-        # the subgradient there is 1 (the interior value), 0 outside
-        np.equal(Zs[l], As[l], out=masks[l])
-        dZ = np.multiply(G, masks[l], out=dZs[l])
         np.sum(dZ, axis=2, out=gbs[l])
         np.matmul(dZ, inputs[l].swapaxes(-1, -2), out=gWs[l])
         if l > 0:
             # through a layer of one unit W^T dZ is an outer product, which
             # numpy's batched matmul runs off BLAS; broadcast gives its bits
             Wt = Ws[l].transpose(0, 2, 1)
-            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=Gs[l - 1])
+            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=Ds[l - 1])
+            dZ = np.multiply(G, masks[l - 1], out=G)
 
 
 def _buffers(Ws, N: int, dtype):
-    """The kernel's scratch for the stack Ws at N nodes: per layer Zs, As,
-    dZs and Gs, each (B, out, N), and the clip masks."""
-    Zs, As, dZs, Gs = ([np.empty((len(W), W.shape[1], N), dtype) for W in Ws] for _ in range(4))
-    return Zs, As, dZs, Gs, [np.empty(Z.shape, dtype=bool) for Z in Zs]
+    """The kernel's scratch for the stack Ws at N nodes: the pre-activations
+    Zs, one view per layer of a single scratch that each layer overwrites,
+    and per layer As and Ds, each (B, out, N), and the clip masks."""
+    shapes = [(len(W), W.shape[1], N) for W in Ws]
+    Z = np.empty(max(map(math.prod, shapes)), dtype)
+    As, Ds = ([np.empty(s, dtype) for s in shapes] for _ in range(2))
+    return ([Z[:math.prod(s)].reshape(s) for s in shapes], As, Ds,
+            [np.empty(s, dtype=bool) for s in shapes])
 
 
 def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
     """Ascend a chunk of parameter sets on a batched objective of h at the
     nodes XT, a contiguous (n, N) matrix.
 
-    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: the
-    chunk's `_buffers`.  `objective(h)` returns the per-entry value (B,) and
-    its gradient coefficients dJ/dh, (B, N).
-    Returns per-entry best objective and the parameters achieving it.  No
-    two chunks share a buffer, so chunks can run concurrently; every array
-    takes the dtype of XT, which the parameters and objective share.
+    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: a
+    `_buffers` set for at least B entries, of which the chunk uses the first
+    B.  `objective(h)` returns the per-entry value (B,) and its gradient
+    coefficients dJ/dh, (B, N).
+    Returns per-entry best objective and the parameters achieving it.  Chunks
+    that run concurrently need distinct buffer sets; every array takes the
+    dtype of XT, which the parameters and objective share.
     """
     B = len(bs[0])
-    Zs, As, dZs, Gs, masks = bufs
+    Zs, As, Ds, masks = ([a[:B] for a in buf] for buf in bufs)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     best_obj = np.full(B, -np.inf, XT.dtype)
     best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
     step = budget.step0
     for it in range(budget.iterations + 1):
-        obj, Gc = objective(_forward(XT, Ws, bs, Zs, As))
+        obj, Gc = objective(_forward(XT, Ws, bs, Zs, As, masks))
         improved = obj > best_obj
         np.copyto(best_obj, obj, where=improved)
         for W, b, best_W, best_b in zip(Ws, bs, best_Ws, best_bs):
@@ -190,7 +199,7 @@ def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
             np.copyto(best_b, b, where=improved[:, None])
         if it == budget.iterations:
             break
-        _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
+        _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds)
         # normalized subgradient step, then projection onto the boxes
         sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
                  for gW, gb in zip(gWs, gbs))
@@ -206,7 +215,9 @@ def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
 
 # The search itself runs on a strided subsample of at most this many nodes;
 # every reported quantity (correlations, gains, audit values) is recomputed on
-# the full shared quadrature, so the exact inequalities are unaffected.
+# the full shared quadrature, so the exact inequalities are unaffected.  The
+# rescore's forward pass runs in blocks of as many nodes, so its scratch does
+# not grow with the quadrature.
 _SEARCH_NODES = 2048
 
 
@@ -234,7 +245,9 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
     again to the boxes, since float32(q) may exceed q.  Chunks have a fixed
     size, so results are byte-identical for any worker count.  Every chunk
     reads one contiguous (n, N) copy of the nodes: numpy's matmul leaves
-    BLAS on the strided view X.T.
+    BLAS on the strided view X.T.  At most `threads` chunks run at once, so
+    the search holds min(threads, chunks) buffer sets, each sized for the
+    first (largest) chunk, and a chunk takes a free set from a queue.
     """
     widths = spec.arch()
     L = len(widths) - 1
@@ -245,17 +258,23 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
                  for l in range(L)] for k in "Wb")
 
     parts = [slice(lo, lo + _CHUNK) for lo in range(0, len(entries), _CHUNK)]
-    # each chunk's buffers come from the calling thread: glibc keeps what a
-    # worker thread frees in that thread's arena, where the rescore that
-    # follows cannot reuse it
-    bufs = [_buffers([W[part] for W in Ws0], XT.shape[1], np.float32) for part in parts]
+    # the buffers come from the calling thread: glibc keeps what a worker
+    # thread frees in that thread's arena, where the rescore that follows
+    # cannot reuse it
+    free = queue.SimpleQueue()
+    for _ in range(min(threads, len(parts))):
+        free.put(_buffers([W[parts[0]] for W in Ws0], XT.shape[1], np.float32))
 
-    def run_chunk(part, buf):
-        return _ascend_chunk(XT, objective, [W[part] for W in Ws0], [b[part] for b in bs0], buf,
-                             q, bias_bounds, budget)
+    def run_chunk(part):
+        buf = free.get()
+        try:
+            return _ascend_chunk(XT, objective, [W[part] for W in Ws0], [b[part] for b in bs0],
+                                 buf, q, bias_bounds, budget)
+        finally:
+            free.put(buf)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(run_chunk, parts, bufs))
+        chunks = list(pool.map(run_chunk, parts))
     Ws_all = [np.clip(np.concatenate([c[1][l] for c in chunks], dtype=np.float64), -q, q)
               for l in range(L)]
     bs_all = [np.clip(np.concatenate([c[2][l] for c in chunks], dtype=np.float64),
@@ -266,16 +285,25 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
 
 def _forward_all(X, Ws, bs):
     """Full-quadrature forward pass for a stack of parameter sets at the
-    nodes X (N, n): (E, N), run on a contiguous (n, N) copy of X.
+    nodes X (N, n): h, (E, N).
 
-    Each layer clips in place and reads only the layer before it, so two
-    buffers take turns: even layers use one, odd layers the other.
+    The pass runs over blocks of at most _SEARCH_NODES nodes, each on a
+    contiguous (n, block) copy of its rows of X, and writes each block's
+    output into h; a node's value does not depend on the other nodes of its
+    block, so the bits are those of one pass over all N.  Each layer clips
+    in place and reads only the layer before it, so two block-sized buffers
+    take turns: even layers use one, odd layers the other.
     """
     E, N = len(bs[0]), len(X)
     widths = [b.shape[1] for b in bs]
-    pair = [np.empty(E * max(widths[k::2], default=0) * N) for k in (0, 1)]
-    bufs = [pair[l % 2][:E * w * N].reshape(E, w, N) for l, w in enumerate(widths)]
-    return _forward(np.ascontiguousarray(X.T), Ws, bs, bufs, bufs)
+    block = min(N, _SEARCH_NODES)
+    pair = [np.empty(E * max(widths[k::2], default=0) * block) for k in (0, 1)]
+    h = np.empty((E, N))
+    for lo in range(0, N, block):
+        XT = np.ascontiguousarray(X[lo:lo + block].T)
+        bufs = [pair[l % 2][:E * w * XT.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
+        h[:, lo:lo + block] = _forward(XT, Ws, bs, bufs, bufs)
+    return h
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
@@ -305,6 +333,8 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     X, ws, idx = _search_sample(quad)
     Ws, bs = _multistart(X, spec, _starts(spec, budget, seed, warm_start),
                          objective(ws, values[idx]), budget, threads)
+    # scored on all of h at once: a product over a block of h's rows sums in
+    # another order and can change the last bits
     scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
     if warm_start is not None:
         h = _forward_all(quad.nodes, [layer.W[None] for layer in warm_start.layers],

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from clipreg import adversary
 from clipreg.adversary import (
     _CHUNK,
     _SEARCH_NODES,
@@ -341,10 +344,10 @@ def kernel_step(X, Ws, bs, Gc):
     """One forward and backward pass of the adversary kernel at the nodes X
     (N, n), on fresh buffers of the dtype of X."""
     XT = np.ascontiguousarray(X.T)
-    Zs, As, dZs, Gs, masks = _buffers(Ws, len(X), X.dtype)
+    Zs, As, Ds, masks = _buffers(Ws, len(X), X.dtype)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    h = _forward(XT, Ws, bs, Zs, As).copy()
-    _backward(XT, Ws, Zs, As, Gc, gWs, gbs, masks, dZs, Gs)
+    h = _forward(XT, Ws, bs, Zs, As, masks).copy()
+    _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds)
     return h, gWs, gbs
 
 
@@ -437,6 +440,31 @@ class TestKernel:
         h_ref = strided_step(X, Ws, bs, np.zeros((64, len(X))))[0]
         assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
 
+    @pytest.mark.parametrize("N", [2 * _SEARCH_NODES + 77, _SEARCH_NODES // 2 + 3])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_forward_all_blocks_give_the_strided_bits(self, widths, N):
+        # the rescore runs in node blocks of _SEARCH_NODES; a last block that
+        # is short, or one block smaller than _SEARCH_NODES, keeps the bits
+        rng = np.random.default_rng(sum(widths) + N)
+        X = rng.uniform(-1.0, 1.0, (N, widths[0]))
+        Ws, bs = random_stack(rng, widths, 16)
+        h_ref = strided_step(X, Ws, bs, np.zeros((16, N)))[0]
+        assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
+
+    def test_search_memory_is_bounded_by_the_block(self, dom2):
+        # one (E, w, N) float64 rescore buffer pair at (8|3), 16 restarts and
+        # 2^14 nodes alone took 2 x 16.8 MB; the blocked rescore and the
+        # float32 search scratch together stay below that
+        quad = build_quadrature(dom2, "low-discrepancy", 2 ** 14, seed=3)
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        tracemalloc.start()
+        try:
+            ascend(quad, DictSpec(8, 3, dom2), f, Budget(16, 2), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 8 * 2 ** 14 * 8
+
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_negated_target_climbs_the_same_bits(self, widths):
         # the objective is |<h, t>|, so ascending it on t and on -t from the
@@ -475,7 +503,27 @@ class TestKernel:
 
 
 class TestThreads:
-    """Runs of several chunks give the same bits on one thread and on two."""
+    """Runs of several chunks give the same bits on one thread and on more."""
+
+    def test_ascend_three_uneven_chunks(self, dom2, quad2):
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        budget = Budget(restarts=2 * _CHUNK + 8, iterations=10)  # chunks 64, 64, 8
+        a, *others = (ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+                      for t in (1, 2, 3))
+        for b in others:
+            assert a.per_restart_values == b.per_restart_values
+            for la, lb in zip(a.witness.layers, b.witness.layers):
+                assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_buffer_sets_capped_at_threads(self, dom2, quad2, monkeypatch, threads):
+        # chunks take turns on min(threads, chunks) buffer sets, not one each
+        calls, real = [], adversary._buffers
+        monkeypatch.setattr(adversary, "_buffers", lambda *args: calls.append(args) or real(*args))
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        ascend(quad2, DictSpec(2, 1, dom2), f, Budget(restarts=2 * _CHUNK + 8, iterations=2),
+               seed=5, threads=threads)
+        assert len(calls) == threads
 
     def test_ascend_multi_chunk(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
