@@ -16,12 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, planted_net
+from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, seeded_params
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 
 # Restarts are processed in fixed-size chunks so the arithmetic (and hence the
 # result bytes) are identical for any worker count.
 _CHUNK = 64
+
+# Successive halving (Jamieson & Talwalkar, AISTATS 2016) of a decomposition
+# stage's correlation ascent: after iteration I // k of its I, for each k
+# here, the better half of the entries still running continue and the rest
+# stop.  See `_rungs` and `_multistart`.
+_RUNGS = (4, 2)
 
 
 class AdversaryError(ClipregError):
@@ -172,25 +178,29 @@ def _buffers(Ws, N: int, dtype):
             [np.empty(s, dtype=bool) for s in shapes])
 
 
-def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
+def _ascend_chunk(XT, objective, Ws, bs, best, bufs, q, bias_bounds, budget: Budget,
+                  its: range, step: float) -> float:
     """Ascend a chunk of parameter sets on a batched objective of h at the
-    nodes XT, a contiguous (n, N) matrix.
+    nodes XT, a contiguous (n, N) matrix, over the iterations `its` of
+    range(budget.iterations + 1), from the step size `step`.
 
-    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; bufs: a
-    `_buffers` set for at least B entries, of which the chunk uses the first
-    B.  `objective(h)` returns the per-entry value (B,) and its gradient
-    coefficients dJ/dh, (B, N).
-    Returns per-entry best objective and the parameters achieving it.  Chunks
+    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; best: the
+    per-entry best objective so far (B,) and the params achieving it,
+    [best_obj, best_Ws, best_bs], also updated in place; bufs: a `_buffers`
+    set for at least B entries, of which the chunk uses the first B.
+    `objective(h)` returns the per-entry value (B,) and its gradient
+    coefficients dJ/dh, (B, N).  Iteration `it` scores the params after `it`
+    steps and, below budget.iterations, takes step `it` + 1.  Returns the
+    step size as the loop leaves it, so a run resumed from the returned
+    state and step takes the very steps of one uninterrupted run.  Chunks
     that run concurrently need distinct buffer sets; every array takes the
     dtype of XT, which the parameters and objective share.
     """
     B = len(bs[0])
     Zs, As, Ds, masks = ([a[:B] for a in buf] for buf in bufs)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    best_obj = np.full(B, -np.inf, XT.dtype)
-    best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
-    step = budget.step0
-    for it in range(budget.iterations + 1):
+    best_obj, best_Ws, best_bs = best
+    for it in its:
         obj, Gc = objective(_forward(XT, Ws, bs, Zs, As, masks))
         improved = obj > best_obj
         np.copyto(best_obj, obj, where=improved)
@@ -210,7 +220,7 @@ def _ascend_chunk(XT, objective, Ws, bs, bufs, q, bias_bounds, budget: Budget):
             gb *= scale[:, None]
             np.clip(np.add(b, gb, out=b), -bound, bound, out=b)
         step *= budget.decay
-    return best_obj, best_Ws, best_bs
+    return step
 
 
 # The search itself runs on a strided subsample of at most this many nodes;
@@ -236,9 +246,22 @@ def _search_sample(quad: Quadrature):
     return quad.nodes[idx], w / w.sum(), idx
 
 
-def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: int):
+def _rungs(iterations: int) -> list:
+    """The iterations after which a pruned search halves its running
+    entries: iterations // k for k in _RUNGS, skipping a rung at 0 and one
+    that repeats the rung before."""
+    rungs = []
+    for t in (iterations // k for k in _RUNGS):
+        if t > 0 and rungs[-1:] != [t]:
+            rungs.append(t)
+    return rungs
+
+
+def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: int,
+                rungs=()):
     """Run chunked multi-start ascent of `objective` at the search nodes X
-    (N, n) from the nets `entries`; returns per-entry best params stacked.
+    (N, n) from the stacked params `starts` (`_starts`); returns per-entry
+    best params stacked.
 
     The search runs in float32: it only chooses which nets get rescored in
     float64 on the full quadrature.  The returned params are float64, clipped
@@ -248,39 +271,65 @@ def _multistart(X, spec: DictSpec, entries, objective, budget: Budget, threads: 
     BLAS on the strided view X.T.  At most `threads` chunks run at once, so
     the search holds min(threads, chunks) buffer sets, each sized for the
     first (largest) chunk, and a chunk takes a free set from a queue.
+
+    Successive halving: after each iteration t in `rungs` (ascending, each
+    in 1..budget.iterations - 1), once every chunk has returned, the entries
+    still running are ranked by their best objective so far, ties to the
+    lower restart (a stable sort), and the better ceil(E/2) of the E go on.
+    They resume from their current params and best so far, with the step
+    size as the loop left it, so each takes the very steps of an unpruned
+    run; they are re-chunked in restart order, so the result is still the
+    same for any worker count.  The others stop, and their best params so
+    far are returned.
     """
     widths = spec.arch()
     L = len(widths) - 1
     q = spec.domain.q
     bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
     XT = np.ascontiguousarray(X.T, dtype=np.float32)
-    Ws0, bs0 = ([np.stack([getattr(net.layers[l], k) for net in entries], dtype=np.float32)
-                 for l in range(L)] for k in "Wb")
+    Ws, bs = ([a.astype(np.float32) for a in p] for p in starts)
+    best_obj = np.full(len(bs[0]), -np.inf, np.float32)
+    best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
+    # float64 best params by restart, written as entries stop
+    out_Ws, out_bs = [np.empty(W.shape) for W in Ws], [np.empty(b.shape) for b in bs]
+    run = np.arange(len(best_obj))  # the restart of each running entry
 
-    parts = [slice(lo, lo + _CHUNK) for lo in range(0, len(entries), _CHUNK)]
     # the buffers come from the calling thread: glibc keeps what a worker
     # thread frees in that thread's arena, where the rescore that follows
     # cannot reuse it
     free = queue.SimpleQueue()
-    for _ in range(min(threads, len(parts))):
-        free.put(_buffers([W[parts[0]] for W in Ws0], XT.shape[1], np.float32))
+    for _ in range(min(threads, math.ceil(len(run) / _CHUNK))):
+        free.put(_buffers([W[:_CHUNK] for W in Ws], XT.shape[1], np.float32))
 
     def run_chunk(part):
+        # a chunk of the running entries, over the current phase's `its`
         buf = free.get()
         try:
-            return _ascend_chunk(XT, objective, [W[part] for W in Ws0], [b[part] for b in bs0],
-                                 buf, q, bias_bounds, budget)
+            return _ascend_chunk(XT, objective, [W[part] for W in Ws], [b[part] for b in bs],
+                                 [best_obj[part], [W[part] for W in best_Ws],
+                                  [b[part] for b in best_bs]],
+                                 buf, q, bias_bounds, budget, its, step)
         finally:
             free.put(buf)
 
+    step, lo = budget.step0, 0
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(run_chunk, parts))
-    Ws_all = [np.clip(np.concatenate([c[1][l] for c in chunks], dtype=np.float64), -q, q)
-              for l in range(L)]
-    bs_all = [np.clip(np.concatenate([c[2][l] for c in chunks], dtype=np.float64),
-                      -bound, bound)
-              for l, bound in enumerate(bias_bounds)]
-    return Ws_all, bs_all
+        for hi in [*rungs, budget.iterations + 1]:
+            its = range(lo, hi)
+            parts = [slice(s, s + _CHUNK) for s in range(0, len(run), _CHUNK)]
+            step, lo = list(pool.map(run_chunk, parts))[0], hi
+            if hi > budget.iterations:
+                break
+            keep = np.zeros(len(run), dtype=bool)
+            keep[np.argsort(-best_obj, kind="stable")[:(len(run) + 1) // 2]] = True
+            for out, best in zip(out_Ws + out_bs, best_Ws + best_bs):
+                out[run[~keep]] = best[~keep]
+            run, best_obj = run[keep], best_obj[keep]
+            Ws, bs, best_Ws, best_bs = ([a[keep] for a in p] for p in (Ws, bs, best_Ws, best_bs))
+    for out, best in zip(out_Ws + out_bs, best_Ws + best_bs):
+        out[run] = best
+    return ([np.clip(W, -q, q, out=W) for W in out_Ws],
+            [np.clip(b, -bound, bound, out=b) for b, bound in zip(out_bs, bias_bounds)])
 
 
 def _forward_all(X, Ws, bs):
@@ -307,22 +356,32 @@ def _forward_all(X, Ws, bs):
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
-    """One seeded net per restart, the warm start in restart 0's place.  A
-    warm start must have the search architecture exactly."""
-    starts = [planted_net(spec.domain, spec.d, spec.r, seed ^ i) for i in range(budget.restarts)]
+    """The start params, stacked: Ws[l] (restarts, out, in) and bs[l]
+    (restarts, out), float64.  Restart i holds `seeded_params(..., seed ^ i)`,
+    the warm start restart 0's place.  A warm start must have the search
+    architecture exactly."""
+    if warm_start is not None and (warm_start.domain != spec.domain
+                                   or warm_start.widths != (spec.d,) * spec.r):
+        raise AdversaryError(f"warm start with hidden widths {warm_start.widths} on "
+                             f"{warm_start.domain} does not have the search "
+                             f"architecture {spec.arch()} on {spec.domain}")
+    widths = spec.arch()
+    Ws = [np.empty((budget.restarts, d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])]
+    bs = [np.empty((budget.restarts, d_out)) for d_out in widths[1:]]
+    for i in range(budget.restarts):
+        for W, b, (W_i, b_i) in zip(Ws, bs, seeded_params(spec.domain, spec.d, spec.r, seed ^ i)):
+            W[i], b[i] = W_i, b_i
     if warm_start is not None:
-        if warm_start.domain != spec.domain or warm_start.widths != (spec.d,) * spec.r:
-            raise AdversaryError(f"warm start with hidden widths {warm_start.widths} on "
-                                 f"{warm_start.domain} does not have the search "
-                                 f"architecture {spec.arch()} on {spec.domain}")
-        starts[0] = warm_start
-    return starts
+        for W, b, layer in zip(Ws, bs, warm_start.layers):
+            W[0], b[0] = layer.W, layer.b
+    return Ws, bs
 
 
 def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: Budget,
-            seed: int, warm_start: RepNet | None, threads: int):
+            seed: int, warm_start: RepNet | None, threads: int, rungs=()):
     """The search core: ascend `objective(weights, values)` on the search
-    subsample from `_starts`, one entry per restart, score each best iterate
+    subsample from `_starts`, one entry per restart, halving the entries
+    after each iteration in `rungs` (`_multistart`), score each best iterate
     with `score(h, weights, values)` on the full quadrature, and return the
     scores (restarts,) and the first best entry's net.
 
@@ -332,7 +391,7 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     """
     X, ws, idx = _search_sample(quad)
     Ws, bs = _multistart(X, spec, _starts(spec, budget, seed, warm_start),
-                         objective(ws, values[idx]), budget, threads)
+                         objective(ws, values[idx]), budget, threads, rungs)
     # scored on all of h at once: a product over a block of h's rows sums in
     # another order and can change the last bits
     scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
@@ -348,18 +407,11 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
 
 
-def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
-           budget: Budget, seed: int, threads: int = 1,
-           warm_start: RepNet | None = None) -> AdversaryResult:
-    """Maximize |<h_theta, target>| over the (d|r) parameter box.
-
-    The dictionary is closed under negation, so one climb of |<h, target>|
-    per restart covers both signs; ties across restarts go to the lower
-    restart index.  Deterministic given seed.
-    """
+def _correlation(quad: Quadrature, spec: DictSpec, target: FunctionOracle, budget: Budget,
+                 seed: int, threads: int, warm_start: RepNet | None, rungs) -> AdversaryResult:
     scores, witness = _search(quad, spec, target.values(quad), _objective_linear,
                               lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
-                              threads)
+                              threads, rungs)
     return AdversaryResult(
         value=float(scores.max()),
         witness=witness,
@@ -368,6 +420,33 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
         seed=seed,
         budget=budget,
     )
+
+
+def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
+           budget: Budget, seed: int, threads: int = 1,
+           warm_start: RepNet | None = None) -> AdversaryResult:
+    """Maximize |<h_theta, target>| over the (d|r) parameter box.
+
+    The dictionary is closed under negation, so one climb of |<h, target>|
+    per restart covers both signs; ties across restarts go to the lower
+    restart index.  Every restart runs all the iterations.  Deterministic
+    given seed.
+    """
+    return _correlation(quad, spec, target, budget, seed, threads, warm_start, ())
+
+
+def _stage_ascend(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
+                  budget: Budget, seed: int, threads: int = 1) -> AdversaryResult:
+    """A decomposition stage's correlation search: `ascend` with successive
+    halving after the iterations `_rungs(budget.iterations)`.
+
+    Its witness is only the polish's warm start, which `best_gain_element`
+    climbs again and ranks by the exact gain.  Each entry that runs to the
+    end takes the very steps it takes in `ascend`, and an entry that stops
+    early keeps its best iterate so far, which is rescored with the rest.
+    """
+    return _correlation(quad, spec, residual, budget, seed, threads, None,
+                        _rungs(budget.iterations))
 
 
 def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,

@@ -150,14 +150,16 @@ def cmd_verify(args) -> int:
 
 def _threads(text: str) -> int:
     # a witness search runs its restarts in chunks of _CHUNK on a thread pool
-    # of this many workers, so a search of at most _CHUNK restarts runs on one
+    # of this many workers, so a search of at most _CHUNK restarts runs on one;
+    # a decomposition stage re-chunks the restarts that survive each halving
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 
 
 _THREADS_HELP = (f"worker threads for each witness search; only searches of more than "
-                 f"{_CHUNK} restarts are split across them")
+                 f"{_CHUNK} restarts are split across them (in a decomposition stage, "
+                 f"while more than {_CHUNK} survive its halvings)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,10 @@ import numpy as np
 from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
                              net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
-from clipreg.adversary import (Budget, DictSpec, ascend, best_gain_element, fit,
-                               invisibility_audit)
+from clipreg.adversary import Budget, DictSpec, best_gain_element, fit, invisibility_audit
+# a stage's correlation search, pruned by successive halving; it keeps the name
+# `ascend` here, under which perfbench/tracer.py times the stage ascent
+from clipreg.adversary import _stage_ascend as ascend
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
@@ -117,13 +119,14 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
                 budget: Budget, seed: int, threads: int = 1):
     """Best single dictionary step against the residual.
 
-    Returns (element, its values at the nodes, lambda, gain).  `ascend`
-    finds the element best correlated with the residual; the polish climbs
-    the clamped gain from it and fresh starts, ranks its candidates, the
-    correlation witness among them, by the same gain, and its winner is the
-    element.  lambda and gain are `fit`'s: the clamped minimizer of
-    ||residual - lam*h||^2 and the exact decrease it achieves, the one the
-    loop accepts on.
+    Returns (element, its values at the nodes, lambda, gain).  The
+    correlation search (`adversary._stage_ascend`: `ascend` with successive
+    halving of its restarts) finds the element best correlated with the
+    residual; the polish climbs the clamped gain from it and fresh starts,
+    every restart to the end, ranks its candidates, the correlation witness
+    among them, by the same gain, and its winner is the element.  lambda and
+    gain are `fit`'s: the clamped minimizer of ||residual - lam*h||^2 and the
+    exact decrease it achieves, the one the loop accepts on.
     """
     res = ascend(quad, spec, residual, budget, seed, threads=threads)
     # polish: the correlation maximizer points along the residual but may fit

@@ -197,19 +197,21 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
-    """Seeded random network with architecture n -> d^r -> 1: weights
-    uniform in [-q, q], drawn W then b layer by layer.  Biases start in
-    [-1, 1]: inside the clamp box, away from the dead all-saturated region
-    that large |c| produces."""
+def seeded_params(domain: DomainSpec, d: int, r: int, seed: int) -> list:
+    """The (W, b) pairs of a seeded random network with architecture
+    n -> d^r -> 1: weights uniform in [-q, q], drawn W then b layer by layer.
+    Biases start in [-1, 1]: inside the clamp box, away from the dead
+    all-saturated region that large |c| produces."""
     rng = np.random.default_rng(check_seed(seed))
     widths = [domain.n] + [d] * r + [1]
-    layers = []
-    for d_in, d_out in zip(widths[:-1], widths[1:]):
-        W = rng.uniform(-domain.q, domain.q, size=(d_out, d_in))
-        b = rng.uniform(-1.0, 1.0, size=d_out)
-        layers.append(Layer(W, b))
-    return RepNet(domain, tuple(layers))
+    return [(rng.uniform(-domain.q, domain.q, size=(d_out, d_in)),
+             rng.uniform(-1.0, 1.0, size=d_out))
+            for d_in, d_out in zip(widths[:-1], widths[1:])]
+
+
+def planted_net(domain: DomainSpec, d: int, r: int, seed: int) -> RepNet:
+    """The `seeded_params` net as a RepNet."""
+    return RepNet(domain, tuple(Layer(W, b) for W, b in seeded_params(domain, d, r, seed)))
 
 
 def compose_parallel(nets, lambdas, domain: DomainSpec | None = None) -> RepNet:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,11 @@ from clipreg.adversary import (
     _buffers,
     _forward,
     _forward_all,
+    _multistart,
     _objective_fit,
     _objective_linear,
+    _rungs,
+    _stage_ascend,
     _starts,
     ascend,
     best_gain_element,
@@ -33,7 +37,8 @@ from clipreg.measure import (
     oracle_from_values,
     sigma_l1,
 )
-from clipreg.netcore import DomainSpec, Layer, NetError, RepCert, RepNet, net_to_dict
+from clipreg.decomposer import decompose, stage_solve
+from clipreg.netcore import DomainSpec, Layer, NetError, RepCert, RepNet
 from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle, reference_step
 
@@ -164,16 +169,16 @@ class TestStarts:
         # report bytes depend on this order
         dom = DomainSpec(2, 1.5)
         spec, seed = DictSpec(d, r, dom), 1234
-        starts = _starts(spec, Budget(restarts=5), seed, None)
-        assert len(starts) == 5
-        for i, net in enumerate(starts):
+        Ws, bs = _starts(spec, Budget(restarts=5), seed, None)
+        assert all(len(a) == 5 for a in Ws + bs)
+        for i in range(5):
             rng = np.random.default_rng(seed ^ i)
-            for layer, (d_in, d_out) in zip(net.layers, zip(spec.arch(), spec.arch()[1:])):
-                assert np.array_equal(layer.W, rng.uniform(-dom.q, dom.q, (d_out, d_in)))
-                assert np.array_equal(layer.b, rng.uniform(-1.0, 1.0, d_out))
+            for W, b, (d_in, d_out) in zip(Ws, bs, zip(spec.arch(), spec.arch()[1:])):
+                assert np.array_equal(W[i], rng.uniform(-dom.q, dom.q, (d_out, d_in)))
+                assert np.array_equal(b[i], rng.uniform(-1.0, 1.0, d_out))
             ref = planted_net(dom, d, r, seed ^ i)
-            for got, want in zip(net.layers, ref.layers):
-                assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
+            for W, b, want in zip(Ws, bs, ref.layers):
+                assert np.array_equal(W[i], want.W) and np.array_equal(b[i], want.b)
 
     def test_negative_seed_rejected(self, dom2, quad2):
         # restart i starts from seed ^ i, negative exactly when seed is
@@ -185,9 +190,12 @@ class TestStarts:
     def test_warm_start_takes_restart_zero(self, dom2):
         spec = DictSpec(2, 1, dom2)
         warm = planted_net(dom2, 2, 1, seed=77)
-        cold, hot = (_starts(spec, Budget(restarts=3), 9, w) for w in (None, warm))
-        assert hot[0] is warm
-        assert [net_to_dict(n) for n in hot[1:]] == [net_to_dict(n) for n in cold[1:]]
+        (cold_Ws, cold_bs), (hot_Ws, hot_bs) = (_starts(spec, Budget(restarts=3), 9, w)
+                                                for w in (None, warm))
+        for W, b, layer in zip(hot_Ws, hot_bs, warm.layers):
+            assert np.array_equal(W[0], layer.W) and np.array_equal(b[0], layer.b)
+        for hot, cold in zip(hot_Ws + hot_bs, cold_Ws + cold_bs):
+            assert np.array_equal(hot[1:], cold[1:])
 
 
 class TestFit:
@@ -380,6 +388,24 @@ def random_stack(rng, widths, B):
     return Ws, bs
 
 
+def climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops):
+    """`_ascend_chunk` from copies of Ws, bs (it updates its params in place)
+    through the iterations range(0, stops[0]), range(stops[0], stops[1]), ...,
+    each resumed where the one before left off.  Returns copies of the best
+    [obj, Ws, bs] after each range."""
+    Ws, bs = [W.copy() for W in Ws], [b.copy() for b in bs]
+    best = [np.full(len(bs[0]), -np.inf, XT.dtype), [W.copy() for W in Ws],
+            [b.copy() for b in bs]]
+    snapshots, step, lo = [], budget.step0, 0
+    for hi in stops:
+        step = _ascend_chunk(XT, objective, Ws, bs, best, bufs, q, bounds, budget,
+                             range(lo, hi), step)
+        snapshots.append([best[0].copy(), [W.copy() for W in best[1]],
+                          [b.copy() for b in best[2]]])
+        lo = hi
+    return snapshots
+
+
 class TestKernel:
     WIDTHS = [[2, 2, 1], [8, 2, 1], [2, 4, 4, 1], [2, 8, 8, 8, 1]]
 
@@ -478,13 +504,11 @@ class TestKernel:
         dom = DomainSpec(widths[0], 1.0)
         bounds = [dom.bias_bound(d_in) for d_in in widths[:-1]]
         bufs, XT = _buffers(Ws, N, np.float32), np.ascontiguousarray(X.T)
-        # _ascend_chunk updates its params in place, so each run gets copies
-        obj, best_Ws, best_bs = _ascend_chunk(
-            XT, _objective_linear(weights, t), [W.copy() for W in Ws], [b.copy() for b in bs],
-            bufs, dom.q, bounds, Budget(1, 40))
-        n_obj, n_Ws, n_bs = _ascend_chunk(
-            XT, _objective_linear(weights, -t), [W.copy() for W in Ws], [b.copy() for b in bs],
-            bufs, dom.q, bounds, Budget(1, 40))
+        budget = Budget(1, 40)
+        (obj, best_Ws, best_bs), (n_obj, n_Ws, n_bs) = (
+            climb(XT, _objective_linear(weights, target), Ws, bs, bufs, dom.q, bounds, budget,
+                  [budget.iterations + 1])[0]
+            for target in (t, -t))
         assert np.array_equal(obj, n_obj)
         for got, ref in zip(n_Ws + n_bs, best_Ws + best_bs):
             assert np.array_equal(got, ref)
@@ -508,12 +532,15 @@ class TestThreads:
     def test_ascend_three_uneven_chunks(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         budget = Budget(restarts=2 * _CHUNK + 8, iterations=10)  # chunks 64, 64, 8
-        a, *others = (ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
-                      for t in (1, 2, 3))
-        for b in others:
-            assert a.per_restart_values == b.per_restart_values
-            for la, lb in zip(a.witness.layers, b.witness.layers):
-                assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+        # a stage's ascent halves the 136 running entries to 68 after
+        # iteration 2 and to 34 after 5, re-chunked as 64 + 4, then as one
+        for search in (ascend, _stage_ascend):
+            a, *others = (search(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+                          for t in (1, 2, 3))
+            for b in others:
+                assert a.per_restart_values == b.per_restart_values
+                for la, lb in zip(a.witness.layers, b.witness.layers):
+                    assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_buffer_sets_capped_at_threads(self, dom2, quad2, monkeypatch, threads):
@@ -557,3 +584,129 @@ class TestThreads:
         assert a.per_restart_values == b.per_restart_values
         for la, lb in zip(a.witness.layers, b.witness.layers):
             assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
+
+
+class TestSuccessiveHalving:
+    """A stage's correlation ascent halves its running entries after the
+    iterations `_rungs` gives; the entries that go on take the very steps of
+    an unpruned run, and every other search runs each restart to the end."""
+
+    def test_rungs(self):
+        assert ([_rungs(i) for i in (1, 2, 3, 4, 7, 8, 80)]
+                == [[], [1], [1], [1, 2], [1, 3], [2, 4], [20, 40]])
+
+    @pytest.mark.parametrize("restarts, iterations, tied", [
+        (12, 40, False), (7, 9, False), (12, 1, False), (12, 2, False), (12, 3, False),
+        (1, 40, False), (6, 40, True)])
+    def test_survivors_resume_bit_for_bit(self, dom2, quad2, restarts, iterations, tied):
+        spec, budget = DictSpec(4, 2, dom2), Budget(restarts, iterations)
+        starts = _starts(spec, budget, 3, None)
+        if tied:  # every entry ties with every other at every rung
+            for a in starts[0] + starts[1]:
+                a[1:] = a[0]
+        values = np.sign(quad2.nodes[:, 0] * quad2.nodes[:, 1])
+        objective = _objective_linear(quad2.weights, values)
+        rungs = _rungs(iterations)
+        got = _multistart(quad2.nodes, spec, starts, objective, budget, 1, rungs)
+
+        # the reference: one unpruned run of every entry, its best so far
+        # taken at each rung, and the selection redone here
+        widths, q = spec.arch(), dom2.q
+        bounds = [dom2.bias_bound(w) for w in widths[:-1]]
+        XT = np.ascontiguousarray(quad2.nodes.T, dtype=np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in starts)
+        bufs = _buffers(Ws, quad2.size, np.float32)
+        stops = rungs + [iterations + 1]
+        snaps = climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops)
+        whole = climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops[-1:])[0]
+        for resumed, ref in zip([snaps[-1][0]] + snaps[-1][1] + snaps[-1][2],
+                                [whole[0]] + whole[1] + whole[2]):
+            assert np.array_equal(resumed, ref)
+        running, stopped_at = list(range(restarts)), {}
+        for k in range(len(rungs)):
+            obj = snaps[k][0]
+            kept = sorted(running, key=lambda i: (-obj[i], i))[:math.ceil(len(running) / 2)]
+            stopped_at.update((i, k) for i in running if i not in kept)
+            running = sorted(kept)
+        stopped_at.update((i, len(rungs)) for i in running)
+        for l, (W, b) in enumerate(zip(*got)):
+            for i, k in stopped_at.items():
+                assert np.array_equal(W[i], np.clip(snaps[k][1][l][i].astype(np.float64), -q, q))
+                assert np.array_equal(b[i], np.clip(snaps[k][2][l][i].astype(np.float64),
+                                                    -bounds[l], bounds[l]))
+        if restarts == 1 or iterations == 1:
+            assert set(stopped_at.values()) == {len(rungs)}  # nothing pruned
+        if tied:
+            # ties go to the lower restart, and which one goes on shows
+            assert stopped_at == {0: 2, 1: 2, 2: 1, 3: 0, 4: 0, 5: 0}
+            assert not np.array_equal(snaps[0][1][0][0], snaps[-1][1][0][0])
+
+    def test_step_size_carries_over(self, dom2, quad2, monkeypatch):
+        # each phase starts from the step size the phase before left, which
+        # is not step0 * decay**t in the last bits
+        calls, real = [], adversary._ascend_chunk
+
+        def recording(*args):
+            calls.append((args[-2], args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(adversary, "_ascend_chunk", recording)
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        budget = Budget(4, 80)
+        _stage_ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=1)
+        stops, step, expected = [0, 20, 40, 81], budget.step0, []
+        for lo, hi in zip(stops, stops[1:]):
+            expected.append((range(lo, hi), step))
+            for _ in range(lo, hi):
+                step *= budget.decay
+        assert calls == expected
+        assert expected[1][1] != budget.step0 * budget.decay ** 20
+
+    def test_only_the_stage_ascent_prunes(self, dom2, quad2, monkeypatch):
+        # entries x forward passes of the float32 search kernel
+        passes, real = [0], adversary._forward
+
+        def counting(XT, Ws, bs, Zs, As, masks=None):
+            if masks is not None:
+                passes[0] += len(bs[0])
+            return real(XT, Ws, bs, Zs, As, masks)
+
+        monkeypatch.setattr(adversary, "_forward", counting)
+        f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
+        spec, budget = DictSpec(2, 1, dom2), Budget(16, 20)
+        full = 16 * 21
+        for search, expected in [
+                (lambda: ascend(quad2, spec, f, budget, 1), full),
+                (lambda: sigma_dr(quad2, spec, f, const_oracle(0), budget, 1), full),
+                (lambda: invisibility_audit(quad2, spec, f, 0.3, budget, 1), full),
+                (lambda: best_gain_element(quad2, spec, f, budget, 1), full),
+                # 16 entries to iteration 5, 8 to 10, 4 to the end
+                (lambda: _stage_ascend(quad2, spec, f, budget, 1), 16 * 5 + 8 * 5 + 4 * 11),
+                # and the polish from its witness: 8 restarts to the end
+                (lambda: stage_solve(quad2, spec, f, budget, 1), 164 + 8 * 21)]:
+            passes[0] = 0
+            search()
+            assert passes[0] == expected
+
+    @pytest.mark.parametrize("stage_dict", ["fixed", "growing"])
+    def test_decompose_report_unchanged_without_rungs(self, dom2, quad2, monkeypatch,
+                                                      stage_dict):
+        f = zoo("sign-product", {}, dom2)
+        spec, budget = DictSpec(2, 1, dom2), Budget(32, 40)
+        passes, real = [0], adversary._ascend_chunk
+
+        def counting(XT, objective, Ws, bs, *args):
+            passes[0] += len(bs[0]) * len(args[-2])
+            return real(XT, objective, Ws, bs, *args)
+
+        monkeypatch.setattr(adversary, "_ascend_chunk", counting)
+        reports = []
+        for rungs in (adversary._RUNGS, ()):
+            monkeypatch.setattr(adversary, "_RUNGS", rungs)
+            passes[0] = 0
+            report = decompose(quad2, spec, f, 0.5, budget, seed=7, stage_dict=stage_dict)
+            reports.append((report.to_dict(), passes[0]))
+        (pruned, pruned_passes), (whole, whole_passes) = reports
+        assert pruned["m_prime"] >= 1
+        assert pruned == whole
+        assert pruned_passes < whole_passes

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element
+from clipreg.adversary import Budget, DictSpec, _stage_ascend, best_gain_element
 from clipreg.decomposer import (
     DecomposeError,
     certify_split,
@@ -86,7 +86,7 @@ class TestStageSolve:
         f = zoo("sign-product", {}, dom2)
         spec, budget = DictSpec(2, 1, dom2), Budget(16, 100)
         element, values, lam, gain = stage_solve(quad2, spec, f, budget, seed=seed)
-        witness = ascend(quad2, spec, f, budget, seed).witness
+        witness = _stage_ascend(quad2, spec, f, budget, seed).witness
         winner = best_gain_element(quad2, spec, f, replace(budget, restarts=8), seed + 1,
                                    warm_start=witness)
         assert net_to_dict(element) == net_to_dict(winner)
