@@ -121,7 +121,13 @@ def fit(h, weights, values, q: float):
     """The best single step lam*h toward `values`, per entry of h, (E, N) or
     (N,), under the quadrature weights: lam = clip(<h, values>/||h||^2, -q, q),
     0 where ||h||^2 < 1e-14, and its gain 2*lam*<h, values> - lam^2*||h||^2,
-    the exact decrease of ||values - lam*h||^2.  Returns (lam, gain)."""
+    the exact decrease of ||values - lam*h||^2.  Returns (lam, gain).
+
+    The gain is at most the energy sum(weights * values**2): by Cauchy-Schwarz
+    no lam does better than <h, values>^2/||h||^2.  In float64, with entries
+    of h and values in [-1, 1] whose products stay normal numbers, the
+    computed gain exceeds the computed energy by less than 1e-12 relative;
+    `decompose` stops on this bound once the energy left is at most eps^2."""
     c = (h * values) @ weights
     h2 = (h * h) @ weights
     lam = np.where(h2 < 1e-14, 0.0, np.clip(c / np.maximum(h2, 1e-14), -q, q))

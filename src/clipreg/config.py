@@ -48,6 +48,7 @@ _INT = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bo
 _NUM = _kind("a finite number", lambda v: isinstance(v, (int, float))
              and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 _STR = _kind("a string", lambda v: isinstance(v, str))
+_BOOL = _kind("a boolean", lambda v: isinstance(v, bool))
 
 
 def _object(kinds: dict, optional=frozenset(), closed=True):
@@ -108,6 +109,7 @@ REPORT_SHAPE = _object({
     "residual_l2_sq": _NUM,
     "m_prime": _INT,
     "m_budget": _INT,
+    "budget_exhausted": _BOOL,
     "epsilon": _NUM,
     "trace": _object({"t0": _NUM, "picks": _list(_object(
         {"t_after": _NUM, "gain": _NUM, "lambda": _NUM, "element": _NET}, closed=False))}),

@@ -4,7 +4,9 @@ Each stage asks the adversary for the dictionary element best correlated with
 the current residual, scales it optimally within [-q, q], and accepts the pick
 only if the squared-residual decrease exceeds eps^2.  Since the initial energy
 is at most 1, at most ceil(1/eps^2) stages can be accepted, independently of
-the target and the dimension.  The accepted elements are assembled into one
+the target and the dimension.  No stage gains more than the energy left, so
+the loop stops without a search once that energy is at most eps^2: the stage
+it skips could not be accepted.  The accepted elements are assembled into one
 network by block composition with a final clip, and the residual is audited
 adversarially.
 """
@@ -28,6 +30,10 @@ _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
 # certify_split accepts an audit value up to epsilon + this slack
 _AUDIT_SLACK = 0.05
+# decompose stops before a stage once the level is at most eps^2 * (1 - this).
+# fit's gain exceeds the energy left by a few ulps at most (its docstring), so
+# the margin leaves every level at which a search could still be accepted searched.
+_ENERGY_STOP_MARGIN = 1e-9
 
 
 class DecomposeError(ClipregError):
@@ -147,6 +153,12 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
 
     stage_dict="fixed" searches F(d,r) at every stage; "growing" expands the
     dictionary to (2^{k-1} d | r+k-1) at stage k, as in the existence proof.
+
+    The loop ends after m_budget accepted stages (budget_exhausted), at the
+    first stage whose gain is at most eps^2, or, without searching stage k,
+    when the level before it is at most eps^2 * (1 - _ENERGY_STOP_MARGIN):
+    a gain never exceeds the energy left, so that stage would be rejected.
+    The report's last level tells the two rejections apart.
     """
     if stage_dict not in ("fixed", "growing"):
         raise DecomposeError(f"stage_dict must be 'fixed' or 'growing', got {stage_dict!r}",
@@ -164,6 +176,9 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
     t_current = t0
     budget_exhausted = True
     for k in range(1, m_budget + 1):
+        if t_current <= eps_sq * (1.0 - _ENERGY_STOP_MARGIN):
+            budget_exhausted = False
+            break
         if stage_dict == "growing":
             stage_spec = DictSpec(2 ** (k - 1) * spec.d, spec.r + k - 1, spec.domain)
         else:
@@ -225,8 +240,8 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     """Pure re-verification of a report in its written form (``to_dict()`` or
     the parsed ``report.json``) against the run's epsilon and dictionary: its
     epsilon and stage budget, g rebuilt from the stored picks and their
-    coefficients, the residual, stage bound, monotone trace, certificates,
-    and the audit threshold.
+    coefficients, the residual, stage bound, budget_exhausted (m' ==
+    m_budget), monotone trace, certificates, and the audit threshold.
 
     A field of the right JSON type but out of range (a net, pick or
     certificate that cannot be built, or g on another dimension than the
@@ -262,6 +277,9 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
                    f"m'={report['m_prime']} vs budget {m_budget}"))
     checks.append(("m_prime_picks", report["m_prime"] == len(picks),
                    f"m'={report['m_prime']} vs {len(picks)} stored picks"))
+    exhausted = report["m_prime"] == m_budget
+    checks.append(("budget_exhausted", report["budget_exhausted"] == exhausted,
+                   f"reported {report['budget_exhausted']} vs m' == m_budget: {exhausted}"))
 
     t0 = report["trace"]["t0"]
     checks.append(("trace_monotone", _non_increasing([t0] + [p["t_after"] for p in picks]),

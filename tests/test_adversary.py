@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clipreg import adversary
 from clipreg.adversary import (
@@ -226,6 +229,59 @@ class TestFit:
         values = np.ones(quad2.size)
         lam, gain = fit(np.full((2, quad2.size), scale), quad2.weights, values, 1.0)
         assert np.array_equal(lam, [0.0, 0.0]) and np.array_equal(gain, [0.0, 0.0])
+
+
+# entries of h and values: 0 or of magnitude in [1e-100, 1], so that no
+# product in fit or in the energy underflows below the normal numbers
+_UNIT = st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+@st.composite
+def _fit_cases(draw):
+    """(kind, h, weights, values, q, sign): h is one (N,) net's values or an
+    (E, N) stack of `kind` "free" (any), "aligned" (h = sign * values /
+    max|values|, Cauchy-Schwarz's equality case), "clamped" (h = sign * t *
+    values with t < 1/(2q), so lam clamps to sign * q) or "vanishing"
+    (||h||^2 < 1e-14)."""
+    N = draw(st.integers(1, 64))
+    weights = draw(arrays(np.float64, N, elements=st.floats(1e-3, 1.0)))
+    weights = weights / weights.sum()
+    values = draw(arrays(np.float64, N, elements=_UNIT))
+    q = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    kind = draw(st.sampled_from(["free", "aligned", "clamped", "vanishing"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    E = draw(st.sampled_from([None, 1, 3]))
+    rows = []
+    for _ in range(E or 1):
+        if kind == "free":
+            row = draw(arrays(np.float64, N, elements=_UNIT))
+        elif kind == "aligned":
+            assume(np.any(values))
+            row = sign * values / np.max(np.abs(values))
+        elif kind == "clamped":
+            row = sign * draw(st.floats(1e-3, 0.5 / q)) * values
+            assume(float(np.dot(weights, row * row)) >= 1e-13)
+        else:
+            row = 1e-8 * draw(arrays(np.float64, N, elements=_UNIT))
+        rows.append(row)
+    h = rows[0] if E is None else np.stack(rows)
+    return kind, h, weights, values, q, sign
+
+
+class TestFitBound:
+    @given(_fit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_gain_at_most_the_energy(self, case):
+        """The energy stop in `decompose` rests on this bound."""
+        kind, h, weights, values, q, sign = case
+        lam, gain = fit(h, weights, values, q)
+        assert lam.shape == gain.shape == h.shape[:-1]
+        energy = float(np.dot(weights, values * values))
+        assert np.all(gain <= energy * (1 + 1e-12))
+        if kind == "clamped":
+            assert np.all(lam == sign * q)
+        if kind == "vanishing":
+            assert np.all(lam == 0.0) and np.all(gain == 0.0)
 
 
 class TestObjectiveFit:

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipreg import decomposer
 from clipreg.adversary import Budget, DictSpec, _stage_ascend, best_gain_element
 from clipreg.decomposer import (
+    _STAGE_SEED_STRIDE,
     DecomposeError,
     certify_split,
     decompose,
     m_budget_for,
     stage_solve,
 )
-from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
-from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict
+from clipreg.measure import (FunctionOracle, MeasureError, build_quadrature, oracle_from_net,
+                             oracle_from_values)
+from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict, zero_net
 from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle
 
@@ -186,6 +189,91 @@ class TestDecompose:
             assert abs(pick.lam) <= dom.q + 1e-12
 
 
+@pytest.fixture
+def stage_gains(monkeypatch):
+    """The gain of every stage_solve call that decompose makes, in order."""
+    gains = []
+
+    def counted(*args, **kwargs):
+        out = stage_solve(*args, **kwargs)
+        gains.append(out[3])
+        return out
+
+    monkeypatch.setattr(decomposer, "stage_solve", counted)
+    return gains
+
+
+# runs that end below eps^2, each after a few accepted stages, and one that
+# ends above it: (target, params, epsilon, stage_dict, budget)
+ENERGY_STOPS = {
+    "fixed": ("step", {"theta": 0.0}, 0.45, "fixed", Budget(8, 40)),
+    "growing": ("sign-product", {}, 0.5, "growing", Budget(16, 60)),
+}
+SEARCH_STOP = ("sign-product", {}, 0.3, "fixed", Budget(8, 40))
+STOP_SEED = 3
+
+
+def _run(dom2, quad2, case):
+    name, params, eps, stage_dict, budget = case
+    return decompose(quad2, DictSpec(2, 1, dom2), zoo(name, params, dom2), eps, budget,
+                     seed=STOP_SEED, stage_dict=stage_dict)
+
+
+class TestEnergyStop:
+    """The loop stops without a search once the level is at most eps^2: no
+    gain exceeds the energy left, so that search could not be accepted."""
+
+    @pytest.mark.parametrize("stage_dict", ["fixed", "growing"])
+    def test_no_stage_after_the_level_reaches_eps_sq(self, dom2, quad2, stage_gains,
+                                                    stage_dict):
+        report = _run(dom2, quad2, ENERGY_STOPS[stage_dict])
+        assert 1 <= report.m_prime < report.m_budget
+        assert report.trace.levels()[-1] <= report.epsilon ** 2
+        assert not report.budget_exhausted
+        assert len(stage_gains) == report.m_prime
+        assert all(g > report.epsilon ** 2 for g in stage_gains)
+
+    @pytest.mark.parametrize("stage_dict", ["fixed", "growing"])
+    def test_skipped_stage_would_be_rejected(self, dom2, quad2, stage_dict):
+        name, params, eps, _, budget = ENERGY_STOPS[stage_dict]
+        report = _run(dom2, quad2, ENERGY_STOPS[stage_dict])
+        # the loop's residual after its last pick, and the stage it skipped
+        resvals = zoo(name, params, dom2).values(quad2)
+        for p in report.trace.picks:
+            resvals = resvals - p.lam * p.element.eval_batch(quad2.nodes)
+        k = report.m_prime + 1
+        spec = (DictSpec(2 ** (k - 1) * 2, 1 + k - 1, dom2) if stage_dict == "growing"
+                else DictSpec(2, 1, dom2))
+        _, _, _, gain = stage_solve(quad2, spec, oracle_from_values(quad2, resvals, "r"),
+                                    budget, STOP_SEED + _STAGE_SEED_STRIDE * k)
+        assert gain <= float(np.dot(quad2.weights, resvals * resvals)) * (1 + 1e-12)
+        assert gain <= eps ** 2
+
+    def test_low_energy_target_searches_nothing(self, dom2, quad2, stage_gains):
+        # t0 = 0.09 <= eps^2 = 0.25
+        report = decompose(quad2, DictSpec(2, 1, dom2), const_oracle(0.3), epsilon=0.5,
+                           budget=Budget(4, 30), seed=1)
+        assert stage_gains == []
+        assert report.m_prime == 0 and not report.budget_exhausted
+        assert net_to_dict(report.g) == net_to_dict(zero_net(dom2))
+        assert report.trace.levels() == [pytest.approx(0.09, abs=1e-12)]
+
+    @pytest.mark.parametrize("stage_dict", ["fixed", "growing"])
+    def test_report_equals_the_loop_without_the_stop(self, dom2, quad2, monkeypatch,
+                                                     stage_dict):
+        stopped = _run(dom2, quad2, ENERGY_STOPS[stage_dict])
+        monkeypatch.setattr(decomposer, "_ENERGY_STOP_MARGIN", math.inf)  # never fires
+        searched = _run(dom2, quad2, ENERGY_STOPS[stage_dict])
+        assert stopped.to_dict() == searched.to_dict()
+
+    def test_level_above_eps_sq_still_searches(self, dom2, quad2, stage_gains):
+        report = _run(dom2, quad2, SEARCH_STOP)
+        assert report.trace.levels()[-1] > report.epsilon ** 2
+        assert report.m_prime < report.m_budget and not report.budget_exhausted
+        assert len(stage_gains) == report.m_prime + 1
+        assert stage_gains[-1] <= report.epsilon ** 2
+
+
 class TestReportRoundTrip:
     def test_dict_round_trip(self, run_step):
         _, quad, _, report = run_step
@@ -250,7 +338,8 @@ class TestCertifySplit:
         ("epsilon", 0.45, "epsilon"),
         ("m_budget", 1000, "m_budget"),
         ("conservative_cert", {"d": 999, "r": 999}, "cert_conservative"),
-    ], ids=["epsilon", "m-budget", "conservative-cert"])
+        ("budget_exhausted", True, "budget_exhausted"),
+    ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted"])
     def test_flags_report_not_of_the_config(self, run_step, field, value, check):
         _, _, _, report = run_step
         assert _check(_certify(report.to_dict(), run_step), check)["ok"]

@@ -247,7 +247,7 @@ NET = {"n": 2, "q": 1.0, "layers": [[{"w": [0.0, 0.0], "b": 0.0}]]}
 # every field certify_split reads, each of the right JSON type
 SHAPED_REPORT = {
     "config_echo": {}, "g": NET, "residual_l2_sq": 0.0, "m_prime": 0, "m_budget": 4,
-    "epsilon": 0.5, "trace": {"t0": 0.0, "picks": []},
+    "budget_exhausted": False, "epsilon": 0.5, "trace": {"t0": 0.0, "picks": []},
     "conservative_cert": {"d": 2, "r": 1}, "constructive_cert": {"d": 1, "r": 0},
     "audit": {"result": {"value": 0.0, "witness": NET}},
 }
@@ -314,6 +314,7 @@ class TestCliVerify:
         ('{"config_echo": {}, "g": {"n": 2, "q": 1.0, "layers": "ab"}}', "'g.layers'"),
         (shaped(g={**NET, "layers": [[{"w": "x", "b": 0.0}]]}), "'g.layers[0][0].w'"),
         (shaped(m_prime=True), "'m_prime'"),
+        (shaped(budget_exhausted=0), "'budget_exhausted'"),
         (shaped(epsilon=math.nan), "'epsilon'"),
         (shaped(trace={"t0": 0.0, "picks": {}}), "'trace.picks'"),
         (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": "big"}]}),
@@ -333,7 +334,7 @@ class TestCliVerify:
                                                                             "b": 0.0}]]}}]}),
          "'trace.picks[0].element.layers'"),
     ], ids=["empty", "no-g", "bad-json", "list", "g-list", "layers-string", "unit-w-string",
-            "m-prime-bool", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
+            "m-prime-bool", "exhausted-int", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
             "g-q-mismatch", "element-weight-outside-q"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
