@@ -17,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, seeded_params
-from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
+from clipreg.measure import FunctionOracle, Quadrature
 
-# Restarts are processed in fixed-size chunks so the arithmetic (and hence the
-# result bytes) are identical for any worker count.
+# Restarts run in chunks of this fixed size, so the result bytes are the same
+# for any worker count, and threads split only searches of more restarts.
 _CHUNK = 64
 
 # Successive halving (Jamieson & Talwalkar, AISTATS 2016) of a decomposition
-# stage's correlation ascent: after iteration I // k of its I, for each k
-# here, the better half of the entries still running continue and the rest
-# stop.  See `_rungs` and `_multistart`.
+# stage's correlation ascent: after iteration I // k of its I, for each k here,
+# the better half of the running entries go on (`_rungs`, `_multistart`).  No
+# other search prunes: a pruned audit reported lower values, a pruned polish
+# other picks.
 _RUNGS = (4, 2)
 
 
@@ -134,16 +135,43 @@ def fit(h, weights, values, q: float):
     return lam, 2.0 * lam * c - lam * lam * h2
 
 
+def _views(theta, widths):
+    """Views Ws[l] (E, out, in) and bs[l] (E, out) of the parameter rows theta
+    (E, P) of nets with layer widths [n, d, ..., 1].  A row holds layer 0's W,
+    row-major, then its b, then layer 1's, and so on (`seeded_params`' order).
+    The views share theta's memory, so the kernel's per-layer writes land in
+    the rows; a search copies, steps, clips and prunes whole rows."""
+    Ws, bs, at = [], [], 0
+    for d_in, d_out in zip(widths, widths[1:]):
+        Ws.append(theta[:, at:at + d_out * d_in].reshape(len(theta), d_out, d_in, copy=False))
+        at += d_out * d_in
+        bs.append(theta[:, at:at + d_out])
+        at += d_out
+    return Ws, bs
+
+
+def _row(pairs):
+    """The parameter row of per-layer (W, b) pairs, the inverse of `_views`."""
+    return np.concatenate([np.ravel(a) for pair in pairs for a in pair])
+
+
+def _box(spec: DictSpec):
+    """Each parameter's bound, (P,): q, or bias_bound(d_in) for a bias."""
+    widths, dom = spec.arch(), spec.domain
+    return _row((np.full((d_out, d_in), dom.q), np.full(d_out, dom.bias_bound(d_in)))
+                for d_in, d_out in zip(widths, widths[1:]))
+
+
 def _forward(XT, Ws, bs, Zs, As, masks=None):
     """Forward pass of B stacked nets at the nodes XT, a contiguous (n, N)
-    matrix, unit-major.
+    matrix, for the search and the rescore alike; activations are unit-major.
 
-    Ws[l]: (B, out, in); bs[l]: (B, out).  Writes layer l's pre-activation
-    into Zs[l] and its clipped output into As[l], both (B, out, N), and,
-    when `masks` is given, the clip masks Zs[l] == As[l] into masks[l] for
-    `_backward`.  Zs[l] may be As[l] (the clip then runs in place) or a view
-    of a scratch that every layer overwrites.  Returns h = As[-1][:, 0]: (B, N).
-    """
+    Ws[l]: (B, out, in); bs[l]: (B, out), as `_views` gives.  Writes layer
+    l's pre-activation into Zs[l] and its clipped output into As[l], both
+    (B, out, N), and, when `masks` is given, the clip masks Zs[l] == As[l]
+    into masks[l] for `_backward`.  Zs[l] may be As[l] (an in-place clip) or
+    a view of one scratch that every layer overwrites.  Returns h =
+    As[-1][:, 0], (B, N)."""
     A = XT
     for l, (W, b, Z, A_out) in enumerate(zip(Ws, bs, Zs, As)):
         np.matmul(W, A, out=Z)
@@ -184,47 +212,40 @@ def _buffers(Ws, N: int, dtype):
             [np.empty(s, dtype=bool) for s in shapes])
 
 
-def _ascend_chunk(XT, objective, Ws, bs, best, bufs, q, bias_bounds, budget: Budget,
+def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
                   its: range, step: float) -> float:
-    """Ascend a chunk of parameter sets on a batched objective of h at the
-    nodes XT, a contiguous (n, N) matrix, over the iterations `its` of
-    range(budget.iterations + 1), from the step size `step`.
-
-    Ws[l]: (B, out, in); bs[l]: (B, out), updated in place; best: the
-    per-entry best objective so far (B,) and the params achieving it,
-    [best_obj, best_Ws, best_bs], also updated in place; bufs: a `_buffers`
-    set for at least B entries, of which the chunk uses the first B.
-    `objective(h)` returns the per-entry value (B,) and its gradient
-    coefficients dJ/dh, (B, N).  Iteration `it` scores the params after `it`
-    steps and, below budget.iterations, takes step `it` + 1.  Returns the
-    step size as the loop leaves it, so a run resumed from the returned
-    state and step takes the very steps of one uninterrupted run.  Chunks
-    that run concurrently need distinct buffer sets; every array takes the
-    dtype of XT, which the parameters and objective share.
+    """Ascend the parameter rows theta (B, P) of nets with layer widths
+    `widths`, in place, on a batched objective of h at the nodes XT (n, N),
+    over the iterations `its` of range(budget.iterations + 1) from the step
+    size `step`.  best = [best_obj (B,), best_theta (B, P)], the best so far,
+    is updated in place; box = (lo, hi), each (P,); bufs: a `_buffers` set for
+    at least B entries.  `objective(h)` returns the value (B,) and dJ/dh (B,
+    N).  Iteration `it` scores the rows after `it` steps and, below
+    budget.iterations, steps: the gradient scaled to length `step`, then
+    clipped into the box.  Returns the step size as the loop leaves it, so a
+    resumed run takes the very steps of an uninterrupted one.  Concurrent
+    chunks need distinct buffer sets; every array takes XT's dtype.
     """
-    B = len(bs[0])
+    B = len(theta)
     Zs, As, Ds, masks = ([a[:B] for a in buf] for buf in bufs)
-    gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
-    best_obj, best_Ws, best_bs = best
+    Ws, bs = _views(theta, widths)
+    grad = np.empty_like(theta)
+    gWs, gbs = _views(grad, widths)
+    best_obj, best_theta = best
     for it in its:
         obj, Gc = objective(_forward(XT, Ws, bs, Zs, As, masks))
         improved = obj > best_obj
         np.copyto(best_obj, obj, where=improved)
-        for W, b, best_W, best_b in zip(Ws, bs, best_Ws, best_bs):
-            np.copyto(best_W, W, where=improved[:, None, None])
-            np.copyto(best_b, b, where=improved[:, None])
+        np.copyto(best_theta, theta, where=improved[:, None])
         if it == budget.iterations:
             break
         _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds)
-        # normalized subgradient step, then projection onto the boxes
+        # normalized subgradient step, then projection onto the box; the
+        # squared norm sums per layer, W before b, which fixes its bits
         sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
                  for gW, gb in zip(gWs, gbs))
-        scale = step / np.maximum(np.sqrt(sq), 1e-12)
-        for W, b, gW, gb, bound in zip(Ws, bs, gWs, gbs, bias_bounds):
-            gW *= scale[:, None, None]
-            np.clip(np.add(W, gW, out=W), -q, q, out=W)
-            gb *= scale[:, None]
-            np.clip(np.add(b, gb, out=b), -bound, bound, out=b)
+        grad *= (step / np.maximum(np.sqrt(sq), 1e-12))[:, None]
+        np.clip(np.add(theta, grad, out=theta), *box, out=theta)
         step *= budget.decay
     return step
 
@@ -266,55 +287,46 @@ def _rungs(iterations: int) -> list:
 def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: int,
                 rungs=()):
     """Run chunked multi-start ascent of `objective` at the search nodes X
-    (N, n) from the stacked params `starts` (`_starts`); returns per-entry
-    best params stacked.
+    (N, n) from the rows `starts` (`_starts`); returns each entry's best row.
 
     The search runs in float32: it only chooses which nets get rescored in
-    float64 on the full quadrature.  The returned params are float64, clipped
-    again to the boxes, since float32(q) may exceed q.  Chunks have a fixed
-    size, so results are byte-identical for any worker count.  Every chunk
-    reads one contiguous (n, N) copy of the nodes: numpy's matmul leaves
-    BLAS on the strided view X.T.  At most `threads` chunks run at once, so
-    the search holds min(threads, chunks) buffer sets, each sized for the
-    first (largest) chunk, and a chunk takes a free set from a queue.
+    float64.  The returned rows are float64, clipped again to the box, since
+    float32(q) may exceed q.  Chunks have a fixed size, so results are
+    byte-identical for any worker count.  Every chunk reads one contiguous
+    (n, N) copy of the nodes: on the strided X.T numpy's matmul leaves BLAS,
+    a third of the kernel's time.  At most `threads` chunks run at once, on
+    min(threads, chunks) buffer sets sized for the first chunk and taken
+    from a queue.
 
     Successive halving: after each iteration t in `rungs` (ascending, each
-    in 1..budget.iterations - 1), once every chunk has returned, the entries
-    still running are ranked by their best objective so far, ties to the
-    lower restart (a stable sort), and the better ceil(E/2) of the E go on.
-    They resume from their current params and best so far, with the step
-    size as the loop left it, so each takes the very steps of an unpruned
-    run; they are re-chunked in restart order, so the result is still the
-    same for any worker count.  The others stop, and their best params so
-    far are returned.
+    in 1..budget.iterations - 1), once every chunk has returned, the better
+    ceil(E/2) of the E running entries by best objective so far, ties to the
+    lower restart, go on from their current rows, best so far and step size,
+    so each takes the very steps of an unpruned run; re-chunked in restart
+    order, they give the same result for any worker count.  The others stop,
+    and their best rows so far are returned.
     """
-    widths = spec.arch()
-    L = len(widths) - 1
-    q = spec.domain.q
-    bias_bounds = [spec.domain.bias_bound(widths[l]) for l in range(L)]
+    widths, bound = spec.arch(), _box(spec)
+    box = (-bound.astype(np.float32), bound.astype(np.float32))
     XT = np.ascontiguousarray(X.T, dtype=np.float32)
-    Ws, bs = ([a.astype(np.float32) for a in p] for p in starts)
-    best_obj = np.full(len(bs[0]), -np.inf, np.float32)
-    best_Ws, best_bs = [W.copy() for W in Ws], [b.copy() for b in bs]
-    # float64 best params by restart, written as entries stop
-    out_Ws, out_bs = [np.empty(W.shape) for W in Ws], [np.empty(b.shape) for b in bs]
-    run = np.arange(len(best_obj))  # the restart of each running entry
+    theta = starts.astype(np.float32)
+    best_obj, best = np.full(len(theta), -np.inf, np.float32), theta.copy()
+    out = np.empty(starts.shape)  # float64 best rows by restart, written as entries stop
+    run = np.arange(len(theta))  # the restart of each running entry
 
     # the buffers come from the calling thread: glibc keeps what a worker
     # thread frees in that thread's arena, where the rescore that follows
     # cannot reuse it
     free = queue.SimpleQueue()
     for _ in range(min(threads, math.ceil(len(run) / _CHUNK))):
-        free.put(_buffers([W[:_CHUNK] for W in Ws], XT.shape[1], np.float32))
+        free.put(_buffers(_views(theta[:_CHUNK], widths)[0], XT.shape[1], np.float32))
 
     def run_chunk(part):
         # a chunk of the running entries, over the current phase's `its`
         buf = free.get()
         try:
-            return _ascend_chunk(XT, objective, [W[part] for W in Ws], [b[part] for b in bs],
-                                 [best_obj[part], [W[part] for W in best_Ws],
-                                  [b[part] for b in best_bs]],
-                                 buf, q, bias_bounds, budget, its, step)
+            return _ascend_chunk(XT, objective, theta[part], [best_obj[part], best[part]],
+                                 buf, widths, box, budget, its, step)
         finally:
             free.put(buf)
 
@@ -328,14 +340,10 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
                 break
             keep = np.zeros(len(run), dtype=bool)
             keep[np.argsort(-best_obj, kind="stable")[:(len(run) + 1) // 2]] = True
-            for out, best in zip(out_Ws + out_bs, best_Ws + best_bs):
-                out[run[~keep]] = best[~keep]
-            run, best_obj = run[keep], best_obj[keep]
-            Ws, bs, best_Ws, best_bs = ([a[keep] for a in p] for p in (Ws, bs, best_Ws, best_bs))
-    for out, best in zip(out_Ws + out_bs, best_Ws + best_bs):
-        out[run] = best
-    return ([np.clip(W, -q, q, out=W) for W in out_Ws],
-            [np.clip(b, -bound, bound, out=b) for b, bound in zip(out_bs, bias_bounds)])
+            out[run[~keep]] = best[~keep]
+            run, best_obj, theta, best = run[keep], best_obj[keep], theta[keep], best[keep]
+    out[run] = best
+    return np.clip(out, -bound, bound, out=out)
 
 
 def _forward_all(X, Ws, bs):
@@ -362,70 +370,57 @@ def _forward_all(X, Ws, bs):
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
-    """The start params, stacked: Ws[l] (restarts, out, in) and bs[l]
-    (restarts, out), float64.  Restart i holds `seeded_params(..., seed ^ i)`,
-    the warm start restart 0's place.  A warm start must have the search
-    architecture exactly."""
+    """The start rows, (restarts, P), float64 (`_views`).  Restart i holds
+    `seeded_params(..., seed ^ i)`, the warm start restart 0's place.  A
+    warm start must have the search architecture exactly."""
     if warm_start is not None and (warm_start.domain != spec.domain
                                    or warm_start.widths != (spec.d,) * spec.r):
         raise AdversaryError(f"warm start with hidden widths {warm_start.widths} on "
                              f"{warm_start.domain} does not have the search "
                              f"architecture {spec.arch()} on {spec.domain}")
-    widths = spec.arch()
-    Ws = [np.empty((budget.restarts, d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])]
-    bs = [np.empty((budget.restarts, d_out)) for d_out in widths[1:]]
-    for i in range(budget.restarts):
-        for W, b, (W_i, b_i) in zip(Ws, bs, seeded_params(spec.domain, spec.d, spec.r, seed ^ i)):
-            W[i], b[i] = W_i, b_i
+    theta = np.stack([_row(seeded_params(spec.domain, spec.d, spec.r, seed ^ i))
+                      for i in range(budget.restarts)])
     if warm_start is not None:
-        for W, b, layer in zip(Ws, bs, warm_start.layers):
-            W[0], b[0] = layer.W, layer.b
-    return Ws, bs
+        theta[0] = _row((layer.W, layer.b) for layer in warm_start.layers)
+    return theta
 
 
 def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: Budget,
             seed: int, warm_start: RepNet | None, threads: int, rungs=()):
-    """The search core: ascend `objective(weights, values)` on the search
-    subsample from `_starts`, one entry per restart, halving the entries
-    after each iteration in `rungs` (`_multistart`), score each best iterate
-    with `score(h, weights, values)` on the full quadrature, and return the
-    scores (restarts,) and the first best entry's net.
+    """The search core: ascend `objective(weights, values)`, `values` the
+    target's (N,) node values, on the search subsample from `_starts`, one
+    entry per restart, halving the entries after each iteration in `rungs`
+    (`_multistart`), score each best iterate with `score(h, weights,
+    values)` on the full quadrature, and return the scores (restarts,) and
+    the first best entry's net.
 
-    The float32 search sees a warm start rounded, so its exact float64
-    params (the start of entry 0) are scored too and, when they score
-    strictly higher, replace entry 0's best.
+    The float32 search sees a warm start rounded, so its exact float64 row
+    is scored too and, when it scores strictly higher, replaces entry 0's.
     """
     X, ws, idx = _search_sample(quad)
-    Ws, bs = _multistart(X, spec, _starts(spec, budget, seed, warm_start),
-                         objective(ws, values[idx]), budget, threads, rungs)
+    widths, starts = spec.arch(), _starts(spec, budget, seed, warm_start)
+    theta = _multistart(X, spec, starts, objective(ws, values[idx]), budget, threads, rungs)
     # scored on all of h at once: a product over a block of h's rows sums in
     # another order and can change the last bits
-    scores = score(_forward_all(quad.nodes, Ws, bs), quad.weights, values)
+    scores = score(_forward_all(quad.nodes, *_views(theta, widths)), quad.weights, values)
     if warm_start is not None:
-        h = _forward_all(quad.nodes, [layer.W[None] for layer in warm_start.layers],
-                         [layer.b[None] for layer in warm_start.layers])
-        own = score(h, quad.weights, values)[0]
+        own = score(_forward_all(quad.nodes, *_views(starts[:1], widths)), quad.weights,
+                    values)[0]
         if own > scores[0]:
-            scores[0] = own
-            for W, b, layer in zip(Ws, bs, warm_start.layers):
-                W[0], b[0] = layer.W, layer.b
+            scores[0], theta[0] = own, starts[0]
     e = int(np.argmax(scores))
-    return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
+    return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e])
+                                             for W, b in zip(*_views(theta, widths))))
 
 
-def _correlation(quad: Quadrature, spec: DictSpec, target: FunctionOracle, budget: Budget,
-                 seed: int, threads: int, warm_start: RepNet | None, rungs) -> AdversaryResult:
-    scores, witness = _search(quad, spec, target.values(quad), _objective_linear,
+def _correlation(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
+                 threads: int, warm_start: RepNet | None, rungs) -> AdversaryResult:
+    scores, witness = _search(quad, spec, values, _objective_linear,
                               lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
                               threads, rungs)
-    return AdversaryResult(
-        value=float(scores.max()),
-        witness=witness,
-        restarts_run=budget.restarts,
-        per_restart_values=tuple(scores.tolist()),
-        seed=seed,
-        budget=budget,
-    )
+    return AdversaryResult(value=float(scores.max()), witness=witness,
+                           restarts_run=budget.restarts,
+                           per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
 
 
 def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
@@ -438,27 +433,25 @@ def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
     restart index.  Every restart runs all the iterations.  Deterministic
     given seed.
     """
-    return _correlation(quad, spec, target, budget, seed, threads, warm_start, ())
+    return _correlation(quad, spec, target.values(quad), budget, seed, threads, warm_start, ())
 
 
-def _stage_ascend(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
-                  budget: Budget, seed: int, threads: int = 1) -> AdversaryResult:
-    """A decomposition stage's correlation search: `ascend` with successive
-    halving after the iterations `_rungs(budget.iterations)`.
-
-    Its witness is only the polish's warm start, which `best_gain_element`
-    climbs again and ranks by the exact gain.  Each entry that runs to the
-    end takes the very steps it takes in `ascend`, and an entry that stops
-    early keeps its best iterate so far, which is rescored with the rest.
-    """
+def _stage_ascend(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
+                  threads: int = 1) -> AdversaryResult:
+    """A decomposition stage's correlation search on the residual's (N,)
+    node values: `ascend` with successive halving (`_rungs`).  Its witness
+    is only the polish's warm start, which `best_gain_element` climbs again
+    and ranks by the exact gain.  Each entry that runs to the end takes the
+    very steps it takes in `ascend`, and an entry that stops early keeps its
+    best iterate so far, which is rescored with the rest."""
     return _correlation(quad, spec, residual, budget, seed, threads, None,
                         _rungs(budget.iterations))
 
 
-def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
-                      budget: Budget, seed: int, threads: int = 1,
-                      warm_start: RepNet | None = None) -> RepNet:
-    """The net of highest clamped gain (`fit`) against the residual.
+def best_gain_element(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
+                      threads: int = 1, warm_start: RepNet | None = None) -> RepNet:
+    """The net of highest clamped gain (`fit`) against the residual's (N,)
+    node values.
 
     Polishes the plain correlation maximizer for the decomposition stages:
     every restart climbs `fit`'s gain, which prefers elements that also FIT
@@ -468,34 +461,32 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual: FunctionOracle
     as `ascend`, one per restart.
     """
     q = spec.domain.q
-    return _search(quad, spec, residual.values(quad), lambda w, v: _objective_fit(w, v, q),
+    return _search(quad, spec, residual, lambda w, v: _objective_fit(w, v, q),
                    lambda h, w, v: fit(h, w, v, q)[1], budget, seed, warm_start, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,
              budget: Budget, seed: int, threads: int = 1,
              warm_start: RepNet | None = None) -> AdversaryResult:
-    """Lower-bound estimate of the observer metric between f and g.
+    """Lower-bound estimate of the observer metric: `ascend` on f - g's node values.
 
     Symmetric in (f, g) bit for bit: f - g and g - f are exact negatives,
-    and `ascend` climbs |<h, f - g>|, which negation leaves unchanged.
+    and the search climbs |<h, f - g>|, which negation leaves unchanged.
     """
-    diff = oracle_from_values(quad, f.values(quad) - g.values(quad), "difference")
-    return ascend(quad, spec, diff, budget, seed, threads=threads, warm_start=warm_start)
+    return _correlation(quad, spec, f.values(quad) - g.values(quad), budget, seed, threads,
+                        warm_start, ())
+
+
+# the audit's note, keyed by its verdict: value <= epsilon or not
+AUDIT_NOTES = {True: "no witness found at this budget", False: "witness exceeds threshold"}
 
 
 def invisibility_audit(quad: Quadrature, spec: DictSpec, h: FunctionOracle,
                        epsilon: float, budget: Budget, seed: int,
                        threads: int = 1) -> dict:
     """Report whether any found dictionary element correlates above epsilon.
-
-    A True verdict means "no witness found at this budget" and is not a proof.
-    """
+    A True verdict means "no witness found at this budget" and is not a proof."""
     result = ascend(quad, spec, h, budget, seed, threads=threads)
     invisible = result.value <= epsilon
-    return {
-        "invisible_up_to_budget": invisible,
-        "result": result,
-        "note": ("no witness found at this budget"
-                 if invisible else "witness exceeds threshold"),
-    }
+    return {"invisible_up_to_budget": invisible, "result": result,
+            "note": AUDIT_NOTES[invisible]}

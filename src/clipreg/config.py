@@ -107,6 +107,7 @@ _CERT = _object({"d": _INT, "r": _INT})
 REPORT_SHAPE = _object({
     "g": _NET,
     "residual_l2_sq": _NUM,
+    "residual_l1": _NUM,
     "m_prime": _INT,
     "m_budget": _INT,
     "budget_exhausted": _BOOL,
@@ -115,8 +116,8 @@ REPORT_SHAPE = _object({
         {"t_after": _NUM, "gain": _NUM, "lambda": _NUM, "element": _NET}, closed=False))}),
     "conservative_cert": _CERT,
     "constructive_cert": _CERT,
-    "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False)},
-                     closed=False),
+    "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False),
+                      "invisible_up_to_budget": _BOOL, "note": _STR}, closed=False),
 }, closed=False)
 
 

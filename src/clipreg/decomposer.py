@@ -21,7 +21,8 @@ import numpy as np
 from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
                              net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
-from clipreg.adversary import Budget, DictSpec, best_gain_element, fit, invisibility_audit
+from clipreg.adversary import (AUDIT_NOTES, Budget, DictSpec, best_gain_element, fit,
+                               invisibility_audit)
 # a stage's correlation search, pruned by successive halving; it keeps the name
 # `ascend` here, under which perfbench/tracer.py times the stage ascent
 from clipreg.adversary import _stage_ascend as ascend
@@ -121,9 +122,9 @@ class DecompositionReport:
         }
 
 
-def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
-                budget: Budget, seed: int, threads: int = 1):
-    """Best single dictionary step against the residual.
+def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
+                threads: int = 1):
+    """Best single dictionary step against the residual's (N,) node values.
 
     Returns (element, its values at the nodes, lambda, gain).  The
     correlation search (`adversary._stage_ascend`: `ascend` with successive
@@ -142,7 +143,7 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual: FunctionOracle,
     element = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
                                 threads=threads, warm_start=res.witness)
     hv = element.eval_batch(quad.nodes)
-    lam, gain = fit(hv, quad.weights, residual.values(quad), spec.domain.q)
+    lam, gain = fit(hv, quad.weights, residual, spec.domain.q)
     return element, hv, float(lam), float(gain)
 
 
@@ -183,9 +184,8 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
             stage_spec = DictSpec(2 ** (k - 1) * spec.d, spec.r + k - 1, spec.domain)
         else:
             stage_spec = spec
-        residual = oracle_from_values(quad, resvals, f"residual-stage-{k}")
         element, hv, lam, gain = stage_solve(
-            quad, stage_spec, residual, budget, seed + _STAGE_SEED_STRIDE * k, threads=threads)
+            quad, stage_spec, resvals, budget, seed + _STAGE_SEED_STRIDE * k, threads=threads)
         if gain <= eps_sq:  # strict improvement required; ties reject
             budget_exhausted = False
             break
@@ -240,8 +240,9 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     """Pure re-verification of a report in its written form (``to_dict()`` or
     the parsed ``report.json``) against the run's epsilon and dictionary: its
     epsilon and stage budget, g rebuilt from the stored picks and their
-    coefficients, the residual, stage bound, budget_exhausted (m' ==
-    m_budget), monotone trace, certificates, and the audit threshold.
+    coefficients, both residual norms, stage bound, budget_exhausted (m' ==
+    m_budget), monotone trace, certificates, the audit threshold, and the
+    audit's flag (value <= eps) and note.
 
     A field of the right JSON type but out of range (a net, pick or
     certificate that cannot be built, or g on another dimension than the
@@ -269,9 +270,10 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
                    "g is the composition of the stored picks with their lambdas"))
 
     diff = f.values(quad) - g.eval_batch(quad.nodes)
-    res_sq = float(np.dot(quad.weights, diff * diff))
-    checks.append(("residual_l2_sq", abs(res_sq - report["residual_l2_sq"]) <= 1e-10,
-                   f"recomputed {res_sq} vs reported {report['residual_l2_sq']}"))
+    for field, per_node in (("residual_l2_sq", diff * diff), ("residual_l1", np.abs(diff))):
+        got = float(np.dot(quad.weights, per_node))
+        checks.append((field, abs(got - report[field]) <= 1e-10,
+                       f"recomputed {got} vs reported {report[field]}"))
 
     checks.append(("stage_bound", report["m_prime"] <= m_budget,
                    f"m'={report['m_prime']} vs budget {m_budget}"))
@@ -304,6 +306,12 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     if not ok_audit:
         detail += "; witness: " + str(audit["witness"])
     checks.append(("audit_threshold", ok_audit, detail))
+    invisible, flag = audit["value"] <= epsilon, report["audit"]["invisible_up_to_budget"]
+    checks.append(("audit_invisible", flag == invisible,
+                   f"reported {flag} vs audit value <= eps: {invisible}"))
+    note = report["audit"]["note"]
+    checks.append(("audit_note", note == AUDIT_NOTES[invisible],
+                   f"reported {note!r} vs {AUDIT_NOTES[invisible]!r}"))
 
     return {"ok": all(ok for _, ok, _ in checks),
             "details": [{"check": name, "ok": ok, "detail": d} for name, ok, d in checks]}

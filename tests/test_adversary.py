@@ -16,6 +16,7 @@ from clipreg.adversary import (
     DictSpec,
     _ascend_chunk,
     _backward,
+    _box,
     _buffers,
     _forward,
     _forward_all,
@@ -25,6 +26,7 @@ from clipreg.adversary import (
     _rungs,
     _stage_ascend,
     _starts,
+    _views,
     ascend,
     best_gain_element,
     fit,
@@ -172,7 +174,7 @@ class TestStarts:
         # report bytes depend on this order
         dom = DomainSpec(2, 1.5)
         spec, seed = DictSpec(d, r, dom), 1234
-        Ws, bs = _starts(spec, Budget(restarts=5), seed, None)
+        Ws, bs = _views(_starts(spec, Budget(restarts=5), seed, None), spec.arch())
         assert all(len(a) == 5 for a in Ws + bs)
         for i in range(5):
             rng = np.random.default_rng(seed ^ i)
@@ -193,8 +195,8 @@ class TestStarts:
     def test_warm_start_takes_restart_zero(self, dom2):
         spec = DictSpec(2, 1, dom2)
         warm = planted_net(dom2, 2, 1, seed=77)
-        (cold_Ws, cold_bs), (hot_Ws, hot_bs) = (_starts(spec, Budget(restarts=3), 9, w)
-                                                for w in (None, warm))
+        (cold_Ws, cold_bs), (hot_Ws, hot_bs) = (
+            _views(_starts(spec, Budget(restarts=3), 9, w), spec.arch()) for w in (None, warm))
         for W, b, layer in zip(hot_Ws, hot_bs, warm.layers):
             assert np.array_equal(W[0], layer.W) and np.array_equal(b[0], layer.b)
         for hot, cold in zip(hot_Ws + hot_bs, cold_Ws + cold_bs):
@@ -343,7 +345,7 @@ class TestBestGainElement:
             for budget in (SMALL, Budget(8, 60)):
                 for seed in range(5):
                     corr = ascend(quad2, spec, f, budget, seed=seed)
-                    net = best_gain_element(quad2, spec, f, budget, seed=seed + 1,
+                    net = best_gain_element(quad2, spec, fv, budget, seed=seed + 1,
                                             warm_start=corr.witness)
                     assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9, \
                         (f.descriptor, budget, seed)
@@ -352,7 +354,8 @@ class TestBestGainElement:
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
         spec = DictSpec(2, 1, dom2)
         corr = ascend(quad2, spec, f, Budget(4, 30), seed=1).witness
-        gain = best_gain_element(quad2, spec, f, Budget(4, 30), seed=2, warm_start=corr)
+        gain = best_gain_element(quad2, spec, f.values(quad2), Budget(4, 30), seed=2,
+                                 warm_start=corr)
         for net in (corr, gain):
             for layer in net.layers:
                 assert layer.W.dtype == layer.b.dtype == np.float64
@@ -360,8 +363,8 @@ class TestBestGainElement:
     def test_deterministic(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0] * X[:, 1], "prod")
         spec = DictSpec(1, 0, dom2)
-        a = best_gain_element(quad2, spec, f, SMALL, seed=4)
-        b = best_gain_element(quad2, spec, f, SMALL, seed=4)
+        a = best_gain_element(quad2, spec, f.values(quad2), SMALL, seed=4)
+        b = best_gain_element(quad2, spec, f.values(quad2), SMALL, seed=4)
         assert np.array_equal(a.layers[0].W, b.layers[0].W)
 
 
@@ -444,20 +447,25 @@ def random_stack(rng, widths, B):
     return Ws, bs
 
 
-def climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops):
-    """`_ascend_chunk` from copies of Ws, bs (it updates its params in place)
-    through the iterations range(0, stops[0]), range(stops[0], stops[1]), ...,
-    each resumed where the one before left off.  Returns copies of the best
-    [obj, Ws, bs] after each range."""
-    Ws, bs = [W.copy() for W in Ws], [b.copy() for b in bs]
-    best = [np.full(len(bs[0]), -np.inf, XT.dtype), [W.copy() for W in Ws],
-            [b.copy() for b in bs]]
+def rows_of(Ws, bs):
+    """The parameter rows (B, P) of the stacks Ws, bs: each layer's W,
+    row-major, then its b, layer 0 first."""
+    return np.concatenate([a.reshape(len(a), -1) for W, b in zip(Ws, bs) for a in (W, b)],
+                          axis=1)
+
+
+def climb(XT, objective, theta, bufs, widths, box, budget, stops):
+    """`_ascend_chunk` from a copy of the rows theta (it updates them in
+    place) through the iterations range(0, stops[0]), range(stops[0],
+    stops[1]), ..., each resumed where the one before left off.  Returns
+    copies of the best [obj, rows] after each range."""
+    theta = theta.copy()
+    best = [np.full(len(theta), -np.inf, XT.dtype), theta.copy()]
     snapshots, step, lo = [], budget.step0, 0
     for hi in stops:
-        step = _ascend_chunk(XT, objective, Ws, bs, best, bufs, q, bounds, budget,
+        step = _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget,
                              range(lo, hi), step)
-        snapshots.append([best[0].copy(), [W.copy() for W in best[1]],
-                          [b.copy() for b in best[2]]])
+        snapshots.append([best[0].copy(), best[1].copy()])
         lo = hi
     return snapshots
 
@@ -557,18 +565,63 @@ class TestKernel:
         X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
         Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
         weights, t = np.full(N, 1.0 / N), rng.uniform(-1.0, 1.0, N)
-        dom = DomainSpec(widths[0], 1.0)
-        bounds = [dom.bias_bound(d_in) for d_in in widths[:-1]]
+        bound = _box(DictSpec(widths[1], len(widths) - 2, DomainSpec(widths[0], 1.0)))
+        box = (-bound.astype(np.float32), bound.astype(np.float32))
         bufs, XT = _buffers(Ws, N, np.float32), np.ascontiguousarray(X.T)
         budget = Budget(1, 40)
-        (obj, best_Ws, best_bs), (n_obj, n_Ws, n_bs) = (
-            climb(XT, _objective_linear(weights, target), Ws, bs, bufs, dom.q, bounds, budget,
-                  [budget.iterations + 1])[0]
+        (obj, best), (n_obj, n_best) = (
+            climb(XT, _objective_linear(weights, target), rows_of(Ws, bs), bufs, widths, box,
+                  budget, [budget.iterations + 1])[0]
             for target in (t, -t))
         assert np.array_equal(obj, n_obj)
+        (best_Ws, best_bs), (n_Ws, n_bs) = _views(best, widths), _views(n_best, widths)
         for got, ref in zip(n_Ws + n_bs, best_Ws + best_bs):
             assert np.array_equal(got, ref)
         assert not np.array_equal(best_Ws[0], Ws[0])  # the ascent moved
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_projection_matches_per_layer_reference(self, widths, dtype):
+        # one `_ascend_chunk` step scales and clips whole rows against the
+        # box; the reference does it layer by layer.  q = 1.1 is not a
+        # float32 value.  The step exceeds every bound, so each start lies
+        # within one step of a box edge; starts near an edge would saturate
+        # every unit and leave no gradient, so they are drawn as the search
+        # draws its own
+        rng = np.random.default_rng(sum(widths))
+        B, N, step = 6, 300, 16.0
+        dom = DomainSpec(widths[0], 1.1)
+        spec = DictSpec(widths[1], len(widths) - 2, dom)
+        edges = [(dom.q, dom.bias_bound(d_in)) for d_in in widths[:-1]]
+        assert step > max(bound for _, bound in edges)
+        Ws = [rng.uniform(-dom.q, dom.q, (B, d_out, d_in)).astype(dtype)
+              for d_in, d_out in zip(widths, widths[1:])]
+        bs = [rng.uniform(-1.0, 1.0, (B, d_out)).astype(dtype) for d_out in widths[1:]]
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(dtype)
+        Gc = rng.uniform(-1.0, 1.0, (B, N)).astype(dtype)
+        _, gWs, gbs = kernel_step(X, Ws, bs, Gc)
+
+        sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
+                 for gW, gb in zip(gWs, gbs))
+        scale = step / np.maximum(np.sqrt(sq), 1e-12)
+        moved_Ws = [W + gW * scale[:, None, None] for W, gW in zip(Ws, gWs)]
+        moved_bs = [b + gb * scale[:, None] for b, gb in zip(bs, gbs)]
+        ref_Ws = [np.clip(W, -q, q) for W, (q, _) in zip(moved_Ws, edges)]
+        ref_bs = [np.clip(b, -bound, bound) for b, (_, bound) in zip(moved_bs, edges)]
+        # the clip binds on the weights of every layer and on some biases,
+        # and leaves other entries as the step put them
+        clipped = [moved != ref for moved, ref in zip(moved_Ws + moved_bs, ref_Ws + ref_bs)]
+        assert all(c.any() for c in clipped[:len(Ws)]) and any(c.any() for c in clipped[len(Ws):])
+        assert not all(c.all() for c in clipped)
+
+        theta, bound = rows_of(Ws, bs), _box(spec).astype(dtype)
+        best = [np.full(B, -np.inf, dtype), theta.copy()]
+        _ascend_chunk(np.ascontiguousarray(X.T), lambda h: (np.zeros(B, dtype), Gc), theta,
+                      best, _buffers(Ws, N, dtype), widths, (-bound, bound),
+                      Budget(1, 1, step0=step), range(1), step)
+        got_Ws, got_bs = _views(theta, widths)
+        for got, ref in zip(got_Ws + got_bs, ref_Ws + ref_bs):
+            assert got.dtype == dtype and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_matches_eval_batch(self, widths):
@@ -582,6 +635,37 @@ class TestKernel:
             np.testing.assert_allclose(h[e], net.eval_batch(X), rtol=0, atol=1e-12)
 
 
+class TestViews:
+    """A search's parameters are (E, P) rows; `_views` gives each layer's W
+    and b as views of them, which the kernel writes through.  Were a view a
+    copy, the kernel would step the copy and the search would not move."""
+
+    @pytest.mark.parametrize("d, r", [(2, 1), (4, 2), (8, 3)])
+    def test_views_write_through(self, dom2, d, r):
+        spec = DictSpec(d, r, dom2)
+        widths, starts = spec.arch(), _starts(spec, Budget(restarts=6), 5, None)
+        keep = np.array([True, False, True, True, False, True])
+        # a search's start block, a chunk of it and the entries kept by pruning
+        for theta in (starts.copy(), starts.copy()[1:4], starts[keep]):
+            before = theta.copy()
+            Ws, bs = _views(theta, widths)
+            views = Ws + bs
+            for k, view in enumerate(views):
+                assert np.shares_memory(view, theta)
+                view[...] = 10.0 + k
+            # the writes show in theta, each parameter in exactly one view
+            for k, view in enumerate(views):
+                assert np.count_nonzero(theta == 10.0 + k) == view.size
+            assert not np.any(theta == before)
+
+    @pytest.mark.parametrize("d, r", [(2, 1), (4, 2), (8, 3)])
+    def test_views_of_a_net_row_give_its_layers(self, dom2, d, r):
+        spec, net = DictSpec(d, r, dom2), planted_net(dom2, d, r, seed=17)
+        Ws, bs = _views(_starts(spec, Budget(restarts=2), 5, net)[:1], spec.arch())
+        for W, b, layer in zip(Ws, bs, net.layers):
+            assert np.array_equal(W[0], layer.W) and np.array_equal(b[0], layer.b)
+
+
 class TestThreads:
     """Runs of several chunks give the same bits on one thread and on more."""
 
@@ -590,8 +674,8 @@ class TestThreads:
         budget = Budget(restarts=2 * _CHUNK + 8, iterations=10)  # chunks 64, 64, 8
         # a stage's ascent halves the 136 running entries to 68 after
         # iteration 2 and to 34 after 5, re-chunked as 64 + 4, then as one
-        for search in (ascend, _stage_ascend):
-            a, *others = (search(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+        for search, target in ((ascend, f), (_stage_ascend, f.values(quad2))):
+            a, *others = (search(quad2, DictSpec(2, 1, dom2), target, budget, seed=5, threads=t)
                           for t in (1, 2, 3))
             for b in others:
                 assert a.per_restart_values == b.per_restart_values
@@ -621,7 +705,8 @@ class TestThreads:
     def test_best_gain_element_multi_chunk(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]) * X[:, 1], "mix")
         budget = Budget(restarts=_CHUNK + 8, iterations=30)  # one entry per restart
-        a, b = (best_gain_element(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+        a, b = (best_gain_element(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=5,
+                                  threads=t)
                 for t in (1, 2))
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
@@ -658,8 +743,7 @@ class TestSuccessiveHalving:
         spec, budget = DictSpec(4, 2, dom2), Budget(restarts, iterations)
         starts = _starts(spec, budget, 3, None)
         if tied:  # every entry ties with every other at every rung
-            for a in starts[0] + starts[1]:
-                a[1:] = a[0]
+            starts[1:] = starts[0]
         values = np.sign(quad2.nodes[:, 0] * quad2.nodes[:, 1])
         objective = _objective_linear(quad2.weights, values)
         rungs = _rungs(iterations)
@@ -670,14 +754,16 @@ class TestSuccessiveHalving:
         widths, q = spec.arch(), dom2.q
         bounds = [dom2.bias_bound(w) for w in widths[:-1]]
         XT = np.ascontiguousarray(quad2.nodes.T, dtype=np.float32)
-        Ws, bs = ([a.astype(np.float32) for a in p] for p in starts)
-        bufs = _buffers(Ws, quad2.size, np.float32)
+        theta = starts.astype(np.float32)
+        bufs = _buffers(_views(theta, widths)[0], quad2.size, np.float32)
+        box = (-_box(spec).astype(np.float32), _box(spec).astype(np.float32))
         stops = rungs + [iterations + 1]
-        snaps = climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops)
-        whole = climb(XT, objective, Ws, bs, bufs, q, bounds, budget, stops[-1:])[0]
-        for resumed, ref in zip([snaps[-1][0]] + snaps[-1][1] + snaps[-1][2],
-                                [whole[0]] + whole[1] + whole[2]):
+        snaps = climb(XT, objective, theta, bufs, widths, box, budget, stops)
+        whole = climb(XT, objective, theta, bufs, widths, box, budget, stops[-1:])[0]
+        for resumed, ref in zip(snaps[-1], whole):
             assert np.array_equal(resumed, ref)
+        for snap in snaps:
+            snap[1:] = _views(snap[1], widths)  # [obj, Ws, bs]
         running, stopped_at = list(range(restarts)), {}
         for k in range(len(rungs)):
             obj = snaps[k][0]
@@ -685,7 +771,7 @@ class TestSuccessiveHalving:
             stopped_at.update((i, k) for i in running if i not in kept)
             running = sorted(kept)
         stopped_at.update((i, len(rungs)) for i in running)
-        for l, (W, b) in enumerate(zip(*got)):
+        for l, (W, b) in enumerate(zip(*_views(got, widths))):
             for i, k in stopped_at.items():
                 assert np.array_equal(W[i], np.clip(snaps[k][1][l][i].astype(np.float64), -q, q))
                 assert np.array_equal(b[i], np.clip(snaps[k][2][l][i].astype(np.float64),
@@ -709,7 +795,7 @@ class TestSuccessiveHalving:
         monkeypatch.setattr(adversary, "_ascend_chunk", recording)
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         budget = Budget(4, 80)
-        _stage_ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=1)
+        _stage_ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=1)
         stops, step, expected = [0, 20, 40, 81], budget.step0, []
         for lo, hi in zip(stops, stops[1:]):
             expected.append((range(lo, hi), step))
@@ -729,17 +815,17 @@ class TestSuccessiveHalving:
 
         monkeypatch.setattr(adversary, "_forward", counting)
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
-        spec, budget = DictSpec(2, 1, dom2), Budget(16, 20)
+        fv, spec, budget = f.values(quad2), DictSpec(2, 1, dom2), Budget(16, 20)
         full = 16 * 21
         for search, expected in [
                 (lambda: ascend(quad2, spec, f, budget, 1), full),
                 (lambda: sigma_dr(quad2, spec, f, const_oracle(0), budget, 1), full),
                 (lambda: invisibility_audit(quad2, spec, f, 0.3, budget, 1), full),
-                (lambda: best_gain_element(quad2, spec, f, budget, 1), full),
+                (lambda: best_gain_element(quad2, spec, fv, budget, 1), full),
                 # 16 entries to iteration 5, 8 to 10, 4 to the end
-                (lambda: _stage_ascend(quad2, spec, f, budget, 1), 16 * 5 + 8 * 5 + 4 * 11),
+                (lambda: _stage_ascend(quad2, spec, fv, budget, 1), 16 * 5 + 8 * 5 + 4 * 11),
                 # and the polish from its witness: 8 restarts to the end
-                (lambda: stage_solve(quad2, spec, f, budget, 1), 164 + 8 * 21)]:
+                (lambda: stage_solve(quad2, spec, fv, budget, 1), 164 + 8 * 21)]:
             passes[0] = 0
             search()
             assert passes[0] == expected
@@ -751,9 +837,9 @@ class TestSuccessiveHalving:
         spec, budget = DictSpec(2, 1, dom2), Budget(32, 40)
         passes, real = [0], adversary._ascend_chunk
 
-        def counting(XT, objective, Ws, bs, *args):
-            passes[0] += len(bs[0]) * len(args[-2])
-            return real(XT, objective, Ws, bs, *args)
+        def counting(XT, objective, theta, *args):
+            passes[0] += len(theta) * len(args[-2])
+            return real(XT, objective, theta, *args)
 
         monkeypatch.setattr(adversary, "_ascend_chunk", counting)
         reports = []

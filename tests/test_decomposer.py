@@ -17,8 +17,7 @@ from clipreg.decomposer import (
     m_budget_for,
     stage_solve,
 )
-from clipreg.measure import (FunctionOracle, MeasureError, build_quadrature, oracle_from_net,
-                             oracle_from_values)
+from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
 from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict, zero_net
 from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle
@@ -80,7 +79,7 @@ class TestStageSolve:
     @pytest.mark.parametrize("d, r", [(4, 2), (8, 3)])
     def test_values_are_eval_batch_bits(self, dom2, quad2, d, r):
         f = zoo("sign-product", {}, dom2)
-        element, values, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f,
+        element, values, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f.values(quad2),
                                             Budget(8, 30), seed=d)
         assert np.array_equal(values, element.eval_batch(quad2.nodes))
 
@@ -88,12 +87,12 @@ class TestStageSolve:
     def test_element_is_polish_winner(self, dom2, quad2, seed):
         f = zoo("sign-product", {}, dom2)
         spec, budget = DictSpec(2, 1, dom2), Budget(16, 100)
-        element, values, lam, gain = stage_solve(quad2, spec, f, budget, seed=seed)
-        witness = _stage_ascend(quad2, spec, f, budget, seed).witness
-        winner = best_gain_element(quad2, spec, f, replace(budget, restarts=8), seed + 1,
+        fv, w = f.values(quad2), quad2.weights
+        element, values, lam, gain = stage_solve(quad2, spec, fv, budget, seed=seed)
+        witness = _stage_ascend(quad2, spec, fv, budget, seed).witness
+        winner = best_gain_element(quad2, spec, fv, replace(budget, restarts=8), seed + 1,
                                    warm_start=witness)
         assert net_to_dict(element) == net_to_dict(winner)
-        fv, w = f.values(quad2), quad2.weights
         assert (lam, gain) == clamped_step(values, w, fv, 1.0)
         assert gain >= clamped_step(witness.eval_batch(quad2.nodes), w, fv, 1.0)[1] - 1e-12
 
@@ -244,8 +243,8 @@ class TestEnergyStop:
         k = report.m_prime + 1
         spec = (DictSpec(2 ** (k - 1) * 2, 1 + k - 1, dom2) if stage_dict == "growing"
                 else DictSpec(2, 1, dom2))
-        _, _, _, gain = stage_solve(quad2, spec, oracle_from_values(quad2, resvals, "r"),
-                                    budget, STOP_SEED + _STAGE_SEED_STRIDE * k)
+        _, _, _, gain = stage_solve(quad2, spec, resvals, budget,
+                                    STOP_SEED + _STAGE_SEED_STRIDE * k)
         assert gain <= float(np.dot(quad2.weights, resvals * resvals)) * (1 + 1e-12)
         assert gain <= eps ** 2
 
@@ -339,12 +338,22 @@ class TestCertifySplit:
         ("m_budget", 1000, "m_budget"),
         ("conservative_cert", {"d": 999, "r": 999}, "cert_conservative"),
         ("budget_exhausted", True, "budget_exhausted"),
-    ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted"])
+        ("residual_l1", 0.0, "residual_l1"),
+        ("audit.invisible_up_to_budget", False, "audit_invisible"),
+        ("audit.note", "witness exceeds threshold", "audit_note"),
+    ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted", "residual-l1",
+            "audit-flag", "audit-note"])
     def test_flags_report_not_of_the_config(self, run_step, field, value, check):
+        # `field` is a dotted path into the report
         _, _, _, report = run_step
         assert _check(_certify(report.to_dict(), run_step), check)["ok"]
         broken = report.to_dict()
-        broken[field] = value
+        *path, key = field.split(".")
+        parent = broken
+        for name in path:
+            parent = parent[name]
+        assert parent[key] != value  # the edit changes the report
+        parent[key] = value
         verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, check)["ok"]

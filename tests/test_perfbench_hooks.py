@@ -1,0 +1,60 @@
+"""The benchmark's tracer wraps clipreg functions by name and reads their
+budget by position; a decompose under it must still give one span per call.
+
+The benchmark runs these wraps only with --trace 1, so this is their guard.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from clipreg import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracer  # noqa: E402
+
+# growing (2^(k-1)*2 | k) stages at n = 2, small enough to run in a second
+CONFIG = {
+    "domain": {"n": 2, "q": 1.0},
+    "dict": {"d": 2, "r": 1},
+    "epsilon": 0.4,
+    "quadrature": {"scheme": "low-discrepancy", "size": 2048, "seed": 5},
+    "solver": {"restarts": 8, "iterations": 30, "step0": 0.5, "decay": 0.97, "seed": 11},
+    "target": {"name": "sign-product", "params": {}},
+    "stage_dict": "growing",
+}
+
+
+def test_decompose_spans_per_stage(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "output": {
+        "report": str(report_path), "trace": str(tmp_path / "trace.csv"),
+        "witness": str(tmp_path / "witness.json")}}))
+    with tracer.Tracer().installed() as t:
+        assert cli.main(["decompose", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+
+    report = json.loads(report_path.read_text())
+    levels = [report["trace"]["t0"]] + [p["t_after"] for p in report["trace"]["picks"]]
+    # the loop searches a stage it then rejects unless it stopped on its
+    # budget or on an energy left of at most eps^2 (decomposer._ENERGY_STOP_MARGIN)
+    rejected = (not report["budget_exhausted"]
+                and levels[-1] > report["epsilon"] ** 2 * (1 - 1e-9))
+    attempted = report["m_prime"] + rejected
+    assert report["m_prime"] >= 1 and attempted >= 2
+
+    by_name = {}
+    for span in t.spans:
+        by_name.setdefault(span.name, []).append(span)
+    solves = by_name.get("decomposer.stage_solve", [])
+    assert len(solves) == attempted
+    for name in ("adversary.stage_ascend", "adversary.polish"):
+        spans = by_name.get(name, [])
+        assert len(spans) == attempted, name
+        assert [s.parent for s in spans] == [s.id for s in solves], name
+    assert len(by_name.get("adversary.audit", [])) == 1
+    for name in ("adversary.stage_ascend", "adversary.polish", "adversary.audit"):
+        for span in by_name[name]:
+            iters = span.attrs.get("entry_iters")
+            assert isinstance(iters, int) and iters > 0, (name, span.attrs)

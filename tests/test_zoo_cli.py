@@ -246,10 +246,12 @@ class TestCliDecompose:
 NET = {"n": 2, "q": 1.0, "layers": [[{"w": [0.0, 0.0], "b": 0.0}]]}
 # every field certify_split reads, each of the right JSON type
 SHAPED_REPORT = {
-    "config_echo": {}, "g": NET, "residual_l2_sq": 0.0, "m_prime": 0, "m_budget": 4,
-    "budget_exhausted": False, "epsilon": 0.5, "trace": {"t0": 0.0, "picks": []},
+    "config_echo": {}, "g": NET, "residual_l2_sq": 0.0, "residual_l1": 0.0, "m_prime": 0,
+    "m_budget": 4, "budget_exhausted": False, "epsilon": 0.5,
+    "trace": {"t0": 0.0, "picks": []},
     "conservative_cert": {"d": 2, "r": 1}, "constructive_cert": {"d": 1, "r": 0},
-    "audit": {"result": {"value": 0.0, "witness": NET}},
+    "audit": {"invisible_up_to_budget": True, "note": "no witness found at this budget",
+              "result": {"value": 0.0, "witness": NET}},
 }
 
 
@@ -323,6 +325,10 @@ class TestCliVerify:
                                              "element": NET}]}), "'trace.picks[0].lambda'"),
         (shaped(constructive_cert={"d": 1}), "'constructive_cert.r'"),
         (shaped(audit={"result": {"value": None, "witness": NET}}), "'audit.result.value'"),
+        (shaped(residual_l1="0"), "'residual_l1'"),
+        (shaped(audit={**SHAPED_REPORT["audit"], "invisible_up_to_budget": 0}),
+         "'audit.invisible_up_to_budget'"),
+        (shaped(audit={**SHAPED_REPORT["audit"], "note": None}), "'audit.note'"),
         (shaped(g={**NET, "n": 3}), "'g.n'"),
         (shaped(constructive_cert={"d": 0, "r": 0}), "'constructive_cert.d'"),
         (shaped(g={**NET, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
@@ -335,6 +341,7 @@ class TestCliVerify:
          "'trace.picks[0].element.layers'"),
     ], ids=["empty", "no-g", "bad-json", "list", "g-list", "layers-string", "unit-w-string",
             "m-prime-bool", "exhausted-int", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
+            "l1-string", "invisible-int", "note-null",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
             "g-q-mismatch", "element-weight-outside-q"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
