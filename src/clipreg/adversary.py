@@ -3,8 +3,8 @@ of a small clipped network against a target.
 
 The search is multi-start projected subgradient ascent over the network
 parameter box.  Every reported value is a LOWER bound on the true supremum
-over the infinite dictionary; results say "no witness found at this budget",
-never "invisible".
+over the infinite dictionary; results say that no witness was found at this
+budget, never "invisible".
 """
 
 from __future__ import annotations
@@ -250,11 +250,12 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
     return step
 
 
-# The search itself runs on a strided subsample of at most this many nodes;
-# every reported quantity (correlations, gains, audit values) is recomputed on
-# the full shared quadrature, so the exact inequalities are unaffected.  The
-# rescore's forward pass runs in blocks of as many nodes, so its scratch does
-# not grow with the quadrature.
+# The search itself runs on at most this many nodes, a Sobol prefix or a
+# seeded random subset of the quadrature (`_search_sample`); every reported
+# quantity (correlations, gains, audit values) is recomputed on the full
+# shared quadrature, so the exact inequalities are unaffected.  The rescore's
+# forward pass runs in blocks of as many nodes, so its scratch does not grow
+# with the quadrature.
 _SEARCH_NODES = 2048
 
 
@@ -477,16 +478,18 @@ def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOra
                         warm_start, ())
 
 
-# the audit's note, keyed by its verdict: value <= epsilon or not
-AUDIT_NOTES = {True: "no witness found at this budget", False: "witness exceeds threshold"}
+def audit_verdict(value: float, epsilon: float) -> dict:
+    """An audit's verdict on its value: invisible up to the budget when no
+    witness correlates above epsilon, and the note that says so."""
+    invisible = value <= epsilon
+    return {"invisible_up_to_budget": invisible,
+            "note": "no witness found at this budget" if invisible else "witness exceeds threshold"}
 
 
 def invisibility_audit(quad: Quadrature, spec: DictSpec, h: FunctionOracle,
                        epsilon: float, budget: Budget, seed: int,
                        threads: int = 1) -> dict:
     """Report whether any found dictionary element correlates above epsilon.
-    A True verdict means "no witness found at this budget" and is not a proof."""
+    A True verdict holds only up to the search budget; it is not a proof."""
     result = ascend(quad, spec, h, budget, seed, threads=threads)
-    invisible = result.value <= epsilon
-    return {"invisible_up_to_budget": invisible, "result": result,
-            "note": AUDIT_NOTES[invisible]}
+    return {**audit_verdict(result.value, epsilon), "result": result}

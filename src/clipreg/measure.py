@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from clipreg.netcore import ClipregError, DomainSpec, RepNet
+from clipreg.netcore import ClipregError, DomainSpec, RepNet, check_seed
 
 SCHEMES = ("tensor-grid", "low-discrepancy", "seeded-uniform")
 _TENSOR_GRID_MAX_DIM = 4
@@ -62,6 +62,11 @@ class Quadrature:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def integral(self, values) -> float:
+        """sum_i weight_i values_i of (N,) node values: every weighted node
+        sum, one np.dot, whose last bits follow the OpenBLAS thread count."""
+        return float(np.dot(self.weights, values))
 
 
 def _table_rows(member: str, n: int, columns: int = 1) -> np.ndarray:
@@ -140,8 +145,7 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
                            "scheme")
     if size < 1:
         raise MeasureError(f"size must be >= 1, got {size}", "size")
-    if seed < 0:  # numpy's generators take no negative seed
-        raise MeasureError(f"seed must be >= 0, got {seed}", "seed")
+    check_seed(seed)
     if scheme == "tensor-grid" and spec.n > _TENSOR_GRID_MAX_DIM:
         raise MeasureError(f"tensor-grid rejected for n={spec.n} > {_TENSOR_GRID_MAX_DIM} "
                            "(node count explosion)", "scheme")
@@ -209,8 +213,8 @@ def oracle_from_net(net: RepNet, descriptor: str = "") -> FunctionOracle:
 
 
 def oracle_from_values(quad: Quadrature, vals: np.ndarray, descriptor: str = "") -> FunctionOracle:
-    """Oracle backed by precomputed node values; valid only on `quad`."""
-    vals = np.asarray(vals, dtype=np.float64)
+    """Oracle backed by a copy of precomputed node values; valid only on `quad`."""
+    vals = np.array(vals, dtype=np.float64)
 
     def fn(X):
         if X.shape != quad.nodes.shape or X is not quad.nodes and not np.array_equal(X, quad.nodes):
@@ -221,15 +225,15 @@ def oracle_from_values(quad: Quadrature, vals: np.ndarray, descriptor: str = "")
 
 
 def inner(quad: Quadrature, a: FunctionOracle, b: FunctionOracle) -> float:
-    """<a, b> = sum_i weight_i a(node_i) b(node_i); fixed node order."""
-    return float(np.dot(quad.weights, a.values(quad) * b.values(quad)))
+    """<a, b> = sum_i weight_i a(node_i) b(node_i)."""
+    return quad.integral(a.values(quad) * b.values(quad))
 
 
 def l2_norm_sq(quad: Quadrature, f: FunctionOracle) -> float:
     v = f.values(quad)
-    return float(np.dot(quad.weights, v * v))
+    return quad.integral(v * v)
 
 
 def sigma_l1(quad: Quadrature, f: FunctionOracle, g: FunctionOracle) -> float:
     """Normalized L1 distance; exact metric at the quadrature level."""
-    return float(np.dot(quad.weights, np.abs(f.values(quad) - g.values(quad))))
+    return quad.integral(np.abs(f.values(quad) - g.values(quad)))

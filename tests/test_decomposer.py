@@ -118,7 +118,7 @@ class TestDecompose:
         fvals = f.values(quad)
         rvals = fvals - gvals
         assert np.max(np.abs(fvals - (gvals + rvals))) <= 1e-12
-        assert float(np.dot(quad.weights, rvals * rvals)) == pytest.approx(
+        assert quad.integral(rvals * rvals) == pytest.approx(
             report.residual_l2_sq, abs=1e-10)
 
     def test_certificates(self, run_step):
@@ -245,7 +245,7 @@ class TestEnergyStop:
                 else DictSpec(2, 1, dom2))
         _, _, _, gain = stage_solve(quad2, spec, resvals, budget,
                                     STOP_SEED + _STAGE_SEED_STRIDE * k)
-        assert gain <= float(np.dot(quad2.weights, resvals * resvals)) * (1 + 1e-12)
+        assert gain <= quad2.integral(resvals * resvals) * (1 + 1e-12)
         assert gain <= eps ** 2
 
     def test_low_energy_target_searches_nothing(self, dom2, quad2, stage_gains):
@@ -326,25 +326,29 @@ class TestCertifySplit:
     def test_flags_m_prime_not_the_pick_count(self, run_step):
         _, _, _, report = run_step
         assert report.m_prime >= 1
-        assert _check(_certify(report.to_dict(), run_step), "m_prime_picks")["ok"]
+        assert _check(_certify(report.to_dict(), run_step), "m_prime")["ok"]
         broken = report.to_dict()
         broken["m_prime"] = 0
         verdict = _certify(broken, run_step)
         assert not verdict["ok"]
-        assert not _check(verdict, "m_prime_picks")["ok"]
+        assert not _check(verdict, "m_prime")["ok"]
 
     @pytest.mark.parametrize("field, value, check", [
         ("epsilon", 0.45, "epsilon"),
         ("m_budget", 1000, "m_budget"),
-        ("conservative_cert", {"d": 999, "r": 999}, "cert_conservative"),
+        ("conservative_cert", {"d": 999, "r": 999}, "conservative_cert"),
         ("budget_exhausted", True, "budget_exhausted"),
         ("residual_l1", 0.0, "residual_l1"),
-        ("audit.invisible_up_to_budget", False, "audit_invisible"),
-        ("audit.note", "witness exceeds threshold", "audit_note"),
+        ("audit.invisible_up_to_budget", False, "audit.invisible_up_to_budget"),
+        ("audit.note", "witness exceeds threshold", "audit.note"),
+        ("trace.t0", lambda t0: t0 * 0.9, "trace.t0"),
+        # still dominated by the conservative certificate and satisfied by g
+        ("constructive_cert", lambda c: {**c, "d": c["d"] + 1}, "constructive_cert"),
     ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted", "residual-l1",
-            "audit-flag", "audit-note"])
+            "audit-flag", "audit-note", "t0", "constructive-cert"])
     def test_flags_report_not_of_the_config(self, run_step, field, value, check):
-        # `field` is a dotted path into the report
+        # `field` is a dotted path into the report; a callable `value` maps
+        # the field's value to the tampered one
         _, _, _, report = run_step
         assert _check(_certify(report.to_dict(), run_step), check)["ok"]
         broken = report.to_dict()
@@ -352,8 +356,18 @@ class TestCertifySplit:
         parent = broken
         for name in path:
             parent = parent[name]
+        if callable(value):
+            value = value(parent[key])
         assert parent[key] != value  # the edit changes the report
         parent[key] = value
         verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, check)["ok"]
+        if check == "constructive_cert":
+            assert _check(verdict, "cert_dominance")["ok"]
+            assert _check(verdict, "cert_constructive")["ok"]
+
+    def test_check_names_are_unique(self, run_step):
+        _, _, _, report = run_step
+        names = [c["check"] for c in _certify(report.to_dict(), run_step)["details"]]
+        assert len(names) == len(set(names))

@@ -192,3 +192,11 @@ class TestFunctionOracle:
         with pytest.raises(MeasureError):
             f.values(quad2)
 
+    def test_value_backed_oracle_copies_the_values(self, quad1):
+        # the oracle freezes its cached values; the caller's array stays its own
+        v = np.zeros(quad1.size)
+        f = oracle_from_values(quad1, v)
+        assert not f.values(quad1).flags.writeable
+        assert v.flags.writeable
+        v[0] = 1.0
+        assert f.values(quad1)[0] == 0.0

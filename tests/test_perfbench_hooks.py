@@ -4,13 +4,15 @@ budget by position; a decompose under it must still give one span per call.
 The benchmark runs these wraps only with --trace 1, so this is their guard.
 """
 
+import ast
 import json
 import sys
 from pathlib import Path
 
 from clipreg import cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import tracer  # noqa: E402
 
 # growing (2^(k-1)*2 | k) stages at n = 2, small enough to run in a second
@@ -58,3 +60,13 @@ def test_decompose_spans_per_stage(tmp_path, capsys):
         for span in by_name[name]:
             iters = span.attrs.get("entry_iters")
             assert isinstance(iters, int) and iters > 0, (name, span.attrs)
+
+
+def test_replay_imports_nothing_from_clipreg():
+    # certify_split shares its definitions with decompose; the replay is the
+    # one check that shares none, so a fault in them still shows there
+    tree = ast.parse((PERFBENCH / "replay.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "clipreg"], modules

@@ -307,6 +307,23 @@ class TestCliVerify:
                      "--config", cfg_path]) == 1
         assert "epsilon: FAILED" in capsys.readouterr().out
 
+    def test_verify_recomputes_t0(self, tmp_path, capsys):
+        # a lower target energy would claim a smaller trace than the target has
+        report_path = tmp_path / "report.json"
+        cfg_path = write_config(tmp_path, output={
+            "report": str(report_path),
+            "trace": str(tmp_path / "t.csv"),
+            "witness": str(tmp_path / "w.json"),
+        })
+        assert main(["decompose", "--config", cfg_path]) == 0
+        obj = json.loads(report_path.read_text())
+        obj["trace"]["t0"] *= 0.9
+        report_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report_path),
+                     "--config", cfg_path]) == 1
+        assert "trace.t0: FAILED" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text, named", [
         ("{}", "'g'"),
         ('{"config_echo": {}}', "'g'"),
