@@ -184,12 +184,13 @@ def _forward(XT, Ws, bs, Zs, As, masks=None):
     return A[:, 0]
 
 
-def _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds):
+def _backward(XT, Ws, As, masks, Gc, gWs, gbs):
     """Backpropagate dJ/dh = Gc, (B, N), through the pass `_forward` left in
     As and masks from the nodes XT (n, N), writing dJ/dW into gWs and dJ/db
-    into gbs.  Ds[l], shaped like As[l], takes layer l's dJ/dZ."""
+    into gbs.  Layer l's dJ/dZ overwrites As[l], last read by layer l + 1's
+    dW (As[-1], h, by the objective that gave Gc)."""
     inputs = [XT] + As[:-1]
-    dZ = np.multiply(Gc[:, None, :], masks[-1], out=Ds[-1])
+    dZ = np.multiply(Gc[:, None, :], masks[-1], out=As[-1])
     for l in range(len(Ws) - 1, -1, -1):
         np.sum(dZ, axis=2, out=gbs[l])
         np.matmul(dZ, inputs[l].swapaxes(-1, -2), out=gWs[l])
@@ -197,19 +198,18 @@ def _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds):
             # through a layer of one unit W^T dZ is an outer product, which
             # numpy's batched matmul runs off BLAS; broadcast gives its bits
             Wt = Ws[l].transpose(0, 2, 1)
-            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=Ds[l - 1])
+            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=As[l - 1])
             dZ = np.multiply(G, masks[l - 1], out=G)
 
 
 def _buffers(Ws, N: int, dtype):
     """The kernel's scratch for the stack Ws at N nodes: the pre-activations
     Zs, one view per layer of a single scratch that each layer overwrites,
-    and per layer As and Ds, each (B, out, N), and the clip masks."""
+    and per layer As, each (B, out, N), also `_backward`'s dJ/dZ, and the clip masks."""
     shapes = [(len(W), W.shape[1], N) for W in Ws]
     Z = np.empty(max(map(math.prod, shapes)), dtype)
-    As, Ds = ([np.empty(s, dtype) for s in shapes] for _ in range(2))
-    return ([Z[:math.prod(s)].reshape(s) for s in shapes], As, Ds,
-            [np.empty(s, dtype=bool) for s in shapes])
+    return ([Z[:math.prod(s)].reshape(s) for s in shapes],
+            [np.empty(s, dtype) for s in shapes], [np.empty(s, dtype=bool) for s in shapes])
 
 
 def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
@@ -227,7 +227,7 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
     chunks need distinct buffer sets; every array takes XT's dtype.
     """
     B = len(theta)
-    Zs, As, Ds, masks = ([a[:B] for a in buf] for buf in bufs)
+    Zs, As, masks = ([a[:B] for a in buf] for buf in bufs)
     Ws, bs = _views(theta, widths)
     grad = np.empty_like(theta)
     gWs, gbs = _views(grad, widths)
@@ -239,7 +239,7 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
         np.copyto(best_theta, theta, where=improved[:, None])
         if it == budget.iterations:
             break
-        _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds)
+        _backward(XT, Ws, As, masks, Gc, gWs, gbs)
         # normalized subgradient step, then projection onto the box; the
         # squared norm sums per layer, W before b, which fixes its bits
         sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)

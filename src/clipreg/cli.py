@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from clipreg.config import REPORT_SHAPE, ConfigError, RunConfig, load_config, owned
-from clipreg.netcore import DomainSpec, NetError
+from clipreg.netcore import DomainSpec
 from clipreg.measure import MeasureError, build_quadrature
 from clipreg.adversary import _CHUNK, ascend
 from clipreg.decomposer import DecomposeError, certify_split, decompose
@@ -41,52 +41,37 @@ def _write_trace_csv(path, report) -> None:
             writer.writerow([p.k, _fmt(p.t_after), _fmt(p.lam), _fmt(p.gain)])
 
 
-def _setup(cfg: RunConfig, domain: DomainSpec):
-    quad = owned("quadrature.", build_quadrature, domain, cfg.quadrature.scheme,
+def _setup(cfg: RunConfig):
+    quad = owned("quadrature.", build_quadrature, cfg.domain, cfg.quadrature.scheme,
                  cfg.quadrature.size, cfg.quadrature.seed)
-    target = owned("target.", zoo, cfg.target.name, cfg.target.params, domain)
-    return quad, target, replace(cfg.dict_spec, domain=domain)
+    return quad, owned("target.", zoo, cfg.target.name, cfg.target.params, cfg.domain)
 
 
-def _print_verdict(verdict) -> int:
-    """Print each check of a `certify_split` verdict, with the detail of a
-    failed one on stderr; returns the exit code, 0 when all passed, else 1."""
-    for item in verdict["details"]:
-        print(f"{item['check']}: {'ok' if item['ok'] else 'FAILED'}")
-        if not item["ok"]:
-            print(f"  {item['detail']}", file=sys.stderr)
-    return 0 if verdict["ok"] else 1
-
-
-def run_decompose(cfg: RunConfig, threads: int = 1, domain: DomainSpec | None = None):
-    domain = domain or cfg.domain
-    quad, target, spec = _setup(cfg, domain)
-    echo = cfg.echo()
-    echo["domain"]["n"] = domain.n
+def run_decompose(cfg: RunConfig, threads: int = 1):
+    quad, target = _setup(cfg)
     return quad, target, owned(
-        "", decompose, quad, spec, target, cfg.epsilon, cfg.budget, cfg.solver_seed,
-        stage_dict=cfg.stage_dict, threads=threads, config_echo=echo)
+        "", decompose, quad, cfg.dict_spec, target, cfg.epsilon, cfg.budget, cfg.solver_seed,
+        stage_dict=cfg.stage_dict, threads=threads)
 
 
 def cmd_decompose(args) -> int:
     cfg = load_config(args.config)
     quad, target, report = run_decompose(cfg, threads=args.threads)
-    written = report.to_dict()
-    _write_json(cfg.output.report, written)
+    _write_json(cfg.output.report, {**report.to_dict(), "config_echo": cfg.echo()})
     _write_trace_csv(cfg.output.trace, report)
     _write_json(cfg.output.witness, report.audit["result"].to_dict())
     print(f"wrote {cfg.output.report}, {cfg.output.trace}, {cfg.output.witness} "
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
     if args.verify:
-        return _print_verdict(certify_split(written, quad, target, cfg.epsilon, cfg.dict_spec))
+        return _verify(cfg, cfg.output.report, quad, target)
     return 0
 
 
 def cmd_adversary(args) -> int:
     cfg = load_config(args.config)
-    quad, target, spec = _setup(cfg, cfg.domain)
-    result = ascend(quad, spec, target, cfg.budget, cfg.solver_seed, threads=args.threads)
+    quad, target = _setup(cfg)
+    result = ascend(quad, cfg.dict_spec, target, cfg.budget, cfg.solver_seed, threads=args.threads)
     _write_json(cfg.output.report, result.to_dict())
     print(f"wrote {cfg.output.report} (value={result.value:.6g}, lower bound)")
     return 0
@@ -94,21 +79,14 @@ def cmd_adversary(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    try:
-        domains = [DomainSpec(n=int(tok), q=cfg.domain.q) for tok in args.n.split(",") if tok]
-    except NetError as e:  # before ValueError, which it extends
-        print(f"error: --n: {e}", file=sys.stderr)
-        return 2
-    except ValueError:
-        print(f"error: --n expects a comma-separated integer list, got {args.n!r}",
-              file=sys.stderr)
-        return 2
     rows = []
-    for domain in domains:
-        _, _, report = run_decompose(cfg, threads=args.threads, domain=domain)
-        rows.append([domain.n, report.m_prime, _fmt(report.residual_l2_sq),
+    for n in args.n:
+        domain = DomainSpec(n, cfg.domain.q)
+        run = replace(cfg, domain=domain, dict_spec=replace(cfg.dict_spec, domain=domain))
+        _, _, report = run_decompose(run, threads=args.threads)
+        rows.append([n, report.m_prime, _fmt(report.residual_l2_sq),
                      _fmt(report.audit["result"].value)])
-        print(f"n={domain.n}: m'={report.m_prime}/{report.m_budget}")
+        print(f"n={n}: m'={report.m_prime}/{report.m_budget}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
@@ -128,24 +106,35 @@ def _malformed_report(path, what) -> int:
     return 2
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def _verify(cfg: RunConfig, path, quad, target) -> int:
+    """Print each `certify_split` check of the report file at `path` against
+    the run `cfg`, with a failed one's detail on stderr.  Returns 0 when all
+    passed, 1 when one failed, 2 when the file or a field that it reads is bad."""
     try:
-        with open(args.report) as fh:
+        with open(path) as fh:
             report = json.load(fh)
         if not isinstance(report, dict):
-            return _malformed_report(args.report, "not a JSON object")
+            return _malformed_report(path, "not a JSON object")
         REPORT_SHAPE(report, "")
-    except json.JSONDecodeError as e:
-        return _malformed_report(args.report, f"invalid JSON: {e}")
-    except ConfigError as e:  # from REPORT_SHAPE
-        return _malformed_report(args.report, f"field {e.field_name!r}: {e.detail}")
-    quad, target, _ = _setup(cfg, cfg.domain)
-    try:
         verdict = certify_split(report, quad, target, cfg.epsilon, cfg.dict_spec)
+    except json.JSONDecodeError as e:
+        return _malformed_report(path, f"invalid JSON: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        return _malformed_report(path, f"cannot read: {e}")
+    except ConfigError as e:  # from REPORT_SHAPE
+        return _malformed_report(path, f"field {e.field_name!r}: {e.detail}")
     except DecomposeError as e:  # a well-typed field out of range
-        return _malformed_report(args.report, f"field {e.param!r}: {e}")
-    return _print_verdict(verdict)
+        return _malformed_report(path, f"field {e.param!r}: {e}")
+    for item in verdict["details"]:
+        print(f"{item['check']}: {'ok' if item['ok'] else 'FAILED'}")
+        if not item["ok"]:
+            print(f"  {item['detail']}", file=sys.stderr)
+    return 0 if verdict["ok"] else 1
+
+
+def cmd_verify(args) -> int:
+    cfg = load_config(args.config)
+    return _verify(cfg, args.report, *_setup(cfg))
 
 
 def _threads(text: str) -> int:
@@ -155,6 +144,14 @@ def _threads(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _dims(text: str) -> list:
+    try:
+        return [DomainSpec(int(tok)).n for tok in text.split(",") if tok]
+    except ValueError as e:  # int()'s, or DomainSpec's NetError
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of dimensions, got {text!r}: {e}") from e
 
 
 _THREADS_HELP = (f"worker threads for each witness search; only searches of more than "
@@ -182,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="repeat the decomposition over input dimensions")
     p.add_argument("--config", required=True)
-    p.add_argument("--n", required=True, help="comma-separated dimensions, e.g. 2,4,8,16")
+    p.add_argument("--n", type=_dims, required=True,
+                   help="comma-separated dimensions, e.g. 2,4,8,16")
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--threads", type=_threads, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_sweep)
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MeasureError, FileNotFoundError) as e:
+    except (ConfigError, MeasureError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -97,7 +97,6 @@ class DecompositionReport:
     conservative_cert: RepCert       # worst-case bound (2^m' d | r + m')
     budget_exhausted: bool
     seed: int
-    config_echo: dict
 
     def to_dict(self) -> dict:
         return {
@@ -118,7 +117,6 @@ class DecompositionReport:
                 "result": self.audit["result"].to_dict(),
             },
             "g": net_to_dict(self.g),
-            "config_echo": self.config_echo,
         }
 
 
@@ -149,7 +147,7 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed
 
 def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: float,
               budget: Budget, seed: int, stage_dict: str = "fixed",
-              threads: int = 1, config_echo: dict | None = None) -> DecompositionReport:
+              threads: int = 1) -> DecompositionReport:
     """Run the energy-increment loop and audit the residual.
 
     stage_dict="fixed" searches F(d,r) at every stage; "growing" expands the
@@ -203,7 +201,6 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
         residual_l1=residual_l1,
         audit=audit,
         seed=seed,
-        config_echo=config_echo or {},
         **_bookkeeping(len(picks), m_budget, spec, g),
     )
 

@@ -65,8 +65,9 @@ class Layer:
     b: np.ndarray
 
     def __post_init__(self):
-        W = np.ascontiguousarray(np.asarray(self.W, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.b, dtype=np.float64))
+        # C-ordered copies: freezing them leaves the caller's arrays alone
+        W = np.array(self.W, dtype=np.float64, order="C")
+        b = np.array(self.b, dtype=np.float64, order="C")
         if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
             raise NetError(f"layer shape mismatch: W {W.shape}, b {b.shape}")
         if W.size == 0:
@@ -283,8 +284,7 @@ def net_from_dict(obj: dict) -> RepNet:
     whose ``param`` names the key of ``obj`` at fault."""
     domain = DomainSpec(n=int(obj["n"]), q=float(obj["q"]))
     try:
-        layers = [Layer(np.array([u["w"] for u in units], dtype=np.float64),
-                        np.array([u["b"] for u in units], dtype=np.float64))
+        layers = [Layer([u["w"] for u in units], [u["b"] for u in units])
                   for units in obj["layers"]]
         return RepNet(domain, tuple(layers))
     except ValueError as e:  # ragged or empty rows, widths, weight and bias ranges

@@ -411,10 +411,10 @@ def kernel_step(X, Ws, bs, Gc):
     """One forward and backward pass of the adversary kernel at the nodes X
     (N, n), on fresh buffers of the dtype of X."""
     XT = np.ascontiguousarray(X.T)
-    Zs, As, Ds, masks = _buffers(Ws, len(X), X.dtype)
+    Zs, As, masks = _buffers(Ws, len(X), X.dtype)
     gWs, gbs = [np.empty_like(W) for W in Ws], [np.empty_like(b) for b in bs]
     h = _forward(XT, Ws, bs, Zs, As, masks).copy()
-    _backward(XT, Ws, As, masks, Gc, gWs, gbs, Ds)
+    _backward(XT, Ws, As, masks, Gc, gWs, gbs)
     return h, gWs, gbs
 
 

@@ -243,6 +243,25 @@ class TestValidation:
             DomainSpec(2, 0.5)
 
 
+class TestLayerOwnsItsArrays:
+    def test_caller_arrays_stay_writable(self):
+        W, b = np.zeros((1, 2)), np.zeros(1)
+        layer = Layer(W, b)
+        assert W.flags.writeable and b.flags.writeable
+        assert not (layer.W.flags.writeable or layer.b.flags.writeable)
+
+    def test_layer_from_a_view_keeps_its_value(self, dom2):
+        base = np.zeros((3, 2))
+        net = RepNet(dom2, (Layer(base[1:2], np.zeros(1)),))
+        base[:] = 5.0  # outside [-q, q], after the box check
+        assert np.array_equal(net.layers[0].W, np.zeros((1, 2)))
+
+    def test_fortran_ordered_input_stored_c_ordered(self):
+        layer = Layer(np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.zeros(2))
+        assert layer.W.flags.c_contiguous and not layer.W.flags.writeable
+        assert np.array_equal(layer.W, np.arange(6.0).reshape(2, 3))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(21)

@@ -1,11 +1,13 @@
 """The benchmark's tracer wraps clipreg functions by name and reads their
 budget by position; a decompose under it must still give one span per call.
+Its set-up probe reads the config fields and calls the cli names it times.
 
 The benchmark runs these wraps only with --trace 1, so this is their guard.
 """
 
 import ast
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from clipreg import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
+import run  # noqa: E402
 import tracer  # noqa: E402
 
 # growing (2^(k-1)*2 | k) stages at n = 2, small enough to run in a second
@@ -70,3 +73,15 @@ def test_replay_imports_nothing_from_clipreg():
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "clipreg"], modules
+
+
+def test_setup_probe_reads_the_config(tmp_path):
+    # run.setup_probe's call: the probe imports clipreg.cli, loads the config
+    # and builds its quadrature from cfg.domain and cfg.quadrature
+    cfg_path = tmp_path / "setup_config.json"
+    cfg_path.write_text(json.dumps(run.make_config("fixed-n2", 0, 0)))
+    out = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(cfg_path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert set(json.loads(out.stdout)) == {
+        "setup.import_s", "config.load_config_s", "measure.build_quadrature_s"}

@@ -385,15 +385,20 @@ class TestCliSweep:
         for row in rows[1:]:
             assert int(row[1]) <= 4
 
+    # --n is parsed by argparse, which exits 2 before any run
     def test_sweep_bad_dims(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
-        assert main(["sweep", "--config", cfg_path, "--n", "2,x",
-                     "--out", str(tmp_path / "s.csv")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg_path, "--n", "2,x",
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
 
     def test_sweep_rejects_dimension_zero(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--config", cfg_path, "--n", "2,0", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg_path, "--n", "2,0", "--out", str(out)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--n" in err and "Traceback" not in err
         assert not out.exists()
@@ -445,3 +450,21 @@ class TestCliMisc:
             main(argv + (["--n", "2"] if command == "sweep" else []))
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--config", "dir"],
+        ["decompose", "--config", "latin1.json"],
+        ["verify", "--report", "dir", "--config", "cfg.json"],
+        ["verify", "--report", "latin1.json", "--config", "cfg.json"],
+        ["decompose", "--config", "to_dir.json"],
+    ], ids=["config-dir", "config-not-utf8", "report-dir", "report-not-utf8", "output-dir"])
+    def test_unreadable_input_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        # exit 1 is verify's "a check failed"; a path that cannot be read is bad input
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"caf\xe9": 1}')
+        write_config(tmp_path)
+        write_config(tmp_path, "to_dir.json", output={"report": "dir"})
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
