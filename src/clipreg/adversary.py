@@ -95,26 +95,32 @@ class AdversaryResult:
 
 def _objective_linear(weights, values):
     """J_b = |<h_b, c>| with c = weights * values, a weighted correlation of
-    either sign, and its subgradient dJ/dh = sign(<h_b, c>) * c.  Negating
-    `values` negates c exactly, so the climb is bit-for-bit the same."""
+    either sign.  Its subgradient dJ/dh = sign(<h_b, c>) * c comes folded, as
+    (value, c as one (1, N) row, sign(<h_b, c>) (B,)): `_backward` takes the
+    one row through every entry and `_ascend_chunk` scales each entry's
+    parameter gradient by its sign.  A factor of +-1 or 0 commutes exactly
+    with every product, mask and sum of the backward pass, so each step has
+    the bits of the unfolded gradient's.  Negating `values` negates c
+    exactly, so the climb is bit-for-bit the same."""
     c = (weights * values).astype(np.float32)
 
     def eval_obj(h):
         corr = np.einsum("bn,n->b", h, c)
-        return np.abs(corr), np.sign(corr)[:, None] * c
+        return np.abs(corr), c[None], np.sign(corr)
     return eval_obj
 
 
 def _objective_fit(weights, values, q: float):
     """J_b = `fit`'s clamped gain of h_b toward `values`, and its gradient
-    dJ/dh = 2*lam*weights*(values - lam*h) at the clamped lam.  By the
+    dJ/dh = 2*lam*weights*(values - lam*h) at the clamped lam, as (value,
+    dJ/dh (B, N), None): no row sign to fold (`_objective_linear`).  By the
     envelope theorem lam's own change drops out: lam maximizes the gain where
     it is interior and stays at -q or q where it clamps."""
     weights, values = weights.astype(np.float32), values.astype(np.float32)
 
     def eval_obj(h):
         lam, gain = fit(h, weights, values, q)
-        return gain, 2.0 * lam[:, None] * weights * (values - lam[:, None] * h)
+        return gain, 2.0 * lam[:, None] * weights * (values - lam[:, None] * h), None
     return eval_obj
 
 
@@ -185,20 +191,24 @@ def _forward(XT, Ws, bs, Zs, As, masks=None):
 
 
 def _backward(XT, Ws, As, masks, Gc, gWs, gbs):
-    """Backpropagate dJ/dh = Gc, (B, N), through the pass `_forward` left in
-    As and masks from the nodes XT (n, N), writing dJ/dW into gWs and dJ/db
-    into gbs.  Layer l's dJ/dZ overwrites As[l], last read by layer l + 1's
-    dW (As[-1], h, by the objective that gave Gc)."""
+    """Backpropagate dJ/dh = Gc, (B, N), or one (1, N) row for every entry,
+    through the pass `_forward` left in As and masks from the nodes XT (n,
+    N), writing dJ/dW into gWs and dJ/db into gbs.  Layer l's dJ/dZ
+    overwrites As[l], last read by layer l + 1's dW (As[-1], h, by the
+    objective that gave Gc)."""
     inputs = [XT] + As[:-1]
     dZ = np.multiply(Gc[:, None, :], masks[-1], out=As[-1])
     for l in range(len(Ws) - 1, -1, -1):
-        np.sum(dZ, axis=2, out=gbs[l])
+        np.add.reduce(dZ, axis=2, out=gbs[l])
         np.matmul(dZ, inputs[l].swapaxes(-1, -2), out=gWs[l])
         if l > 0:
-            # through a layer of one unit W^T dZ is an outer product, which
-            # numpy's batched matmul runs off BLAS; broadcast gives its bits
-            Wt = Ws[l].transpose(0, 2, 1)
-            G = (np.multiply if Wt.shape[2] == 1 else np.matmul)(Wt, dZ, out=As[l - 1])
+            if Ws[l].shape[1] == 1:
+                # through a layer of one unit W^T dZ is an outer product, which
+                # numpy's batched matmul runs off BLAS; each of einsum's
+                # outputs is one product, the bits of matmul's
+                G = np.einsum("bi,bn->bin", Ws[l][:, 0], dZ[:, 0], out=As[l - 1])
+            else:
+                G = np.matmul(Ws[l].transpose(0, 2, 1), dZ, out=As[l - 1])
             dZ = np.multiply(G, masks[l - 1], out=G)
 
 
@@ -219,12 +229,15 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
     over the iterations `its` of range(budget.iterations + 1) from the step
     size `step`.  best = [best_obj (B,), best_theta (B, P)], the best so far,
     is updated in place; box = (lo, hi), each (P,); bufs: a `_buffers` set for
-    at least B entries.  `objective(h)` returns the value (B,) and dJ/dh (B,
-    N).  Iteration `it` scores the rows after `it` steps and, below
-    budget.iterations, steps: the gradient scaled to length `step`, then
-    clipped into the box.  Returns the step size as the loop leaves it, so a
-    resumed run takes the very steps of an uninterrupted one.  Concurrent
-    chunks need distinct buffer sets; every array takes XT's dtype.
+    at least B entries.  `objective(h)` returns the value (B,), Gc and a row
+    sign (B,) or None: dJ/dh is Gc, (B, N) or one (1, N) row for every entry,
+    times the row sign where one is given (`_objective_linear`), which scales
+    each row's parameter gradient after `_backward`.  Iteration `it` scores
+    the rows after `it` steps and, below budget.iterations, steps: the
+    gradient scaled to length `step`, then clipped into the box.  Returns
+    the step size as the loop leaves it, so a resumed run takes the very
+    steps of an uninterrupted one.  Concurrent chunks need distinct buffer
+    sets; every array takes XT's dtype.
     """
     B = len(theta)
     Zs, As, masks = ([a[:B] for a in buf] for buf in bufs)
@@ -233,7 +246,7 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
     gWs, gbs = _views(grad, widths)
     best_obj, best_theta = best
     for it in its:
-        obj, Gc = objective(_forward(XT, Ws, bs, Zs, As, masks))
+        obj, Gc, sign = objective(_forward(XT, Ws, bs, Zs, As, masks))
         improved = obj > best_obj
         np.copyto(best_obj, obj, where=improved)
         np.copyto(best_theta, theta, where=improved[:, None])
@@ -244,7 +257,12 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
         # squared norm sums per layer, W before b, which fixes its bits
         sq = sum(np.einsum("boi,boi->b", gW, gW) + np.einsum("bo,bo->b", gb, gb)
                  for gW, gb in zip(gWs, gbs))
-        grad *= (step / np.maximum(np.sqrt(sq), 1e-12))[:, None]
+        scale = step / np.maximum(np.sqrt(sq), 1e-12)
+        if sign is not None:
+            # the row sign joins the scale: (g * s) * k == g * (s * k) for s
+            # in {-1, 0, 1}, and sq is the same for g and -g
+            scale *= sign
+        grad *= scale[:, None]
         np.clip(np.add(theta, grad, out=theta), *box, out=theta)
         step *= budget.decay
     return step

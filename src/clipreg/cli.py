@@ -113,14 +113,15 @@ def _verify(cfg: RunConfig, path, quad, target) -> int:
     try:
         with open(path) as fh:
             report = json.load(fh)
-        if not isinstance(report, dict):
-            return _malformed_report(path, "not a JSON object")
-        REPORT_SHAPE(report, "")
-        verdict = certify_split(report, quad, target, cfg.epsilon, cfg.dict_spec)
-    except json.JSONDecodeError as e:
-        return _malformed_report(path, f"invalid JSON: {e}")
     except (OSError, UnicodeDecodeError) as e:
         return _malformed_report(path, f"cannot read: {e}")
+    except ValueError as e:  # JSONDecodeError, or an integer past int()'s digit limit
+        return _malformed_report(path, f"invalid JSON: {e}")
+    if not isinstance(report, dict):
+        return _malformed_report(path, "not a JSON object")
+    try:
+        REPORT_SHAPE(report, "")
+        verdict = certify_split(report, quad, target, cfg.epsilon, cfg.dict_spec)
     except ConfigError as e:  # from REPORT_SHAPE
         return _malformed_report(path, f"field {e.field_name!r}: {e.detail}")
     except DecomposeError as e:  # a well-typed field out of range

@@ -195,6 +195,6 @@ def load_config(path) -> RunConfig:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, or int()'s digit limit
             raise ConfigError("<file>", f"invalid JSON: {e}") from e
     return parse_config(obj)

@@ -309,13 +309,13 @@ class TestObjectiveFit:
 
     def test_value_is_fit_gain(self, rows):
         h, weights, values = rows
-        gain, _ = _objective_fit(weights, values, self.Q)(h)
+        gain, _, _ = _objective_fit(weights, values, self.Q)(h)
         assert gain.dtype == np.float64
         assert np.array_equal(gain, fit(h, weights, values, self.Q)[1])
 
     def test_gradient_matches_central_difference(self, rows):
         h, weights, values = rows
-        _, grad = _objective_fit(weights, values, self.Q)(h)
+        _, grad, _ = _objective_fit(weights, values, self.Q)(h)
         delta = 1e-6
         for b, row in enumerate(h):
             step = delta * np.eye(len(row))
@@ -325,7 +325,7 @@ class TestObjectiveFit:
 
     def test_float32_search_dtype(self, rows):
         h, weights, values = rows
-        gain, grad = _objective_fit(weights, values, self.Q)(h.astype(np.float32))
+        gain, grad, _ = _objective_fit(weights, values, self.Q)(h.astype(np.float32))
         assert gain.dtype == grad.dtype == np.float32
 
 
@@ -472,6 +472,8 @@ def climb(XT, objective, theta, bufs, widths, box, budget, stops):
 
 class TestKernel:
     WIDTHS = [[2, 2, 1], [8, 2, 1], [2, 4, 4, 1], [2, 8, 8, 8, 1]]
+    # (1|r) nets: every layer, hidden ones too, takes W^T dZ as an outer product
+    ONE_UNIT = [[2, 1, 1, 1], [8, 1, 1]]
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_step_matches_reference(self, widths):
@@ -579,6 +581,61 @@ class TestKernel:
             assert np.array_equal(got, ref)
         assert not np.array_equal(best_Ws[0], Ws[0])  # the ascent moved
 
+    @pytest.mark.parametrize("widths", ONE_UNIT, ids=str)
+    def test_one_unit_layers_give_the_matmul_bits(self, widths):
+        # the kernel takes W^T dZ through a layer of one unit as einsum's
+        # products; the reference takes batched matmuls and reads the same
+        # contiguous (n, N) node matrix.  On the strided X.T a one-unit first
+        # layer has other bits: its one-row matmul is a gemv, whose order
+        # follows the layout
+        rng = np.random.default_rng(sum(widths))
+        B, N = 64, 2048
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
+        Gc = rng.uniform(-1.0, 1.0, (B, N)).astype(np.float32)
+        h, gWs, gbs = kernel_step(X, Ws, bs, Gc)
+        h_ref, gWs_ref, gbs_ref = strided_step(np.ascontiguousarray(X.T).T, Ws, bs, Gc)
+        for got, ref in zip([h] + gWs + gbs, [h_ref] + gWs_ref + gbs_ref):
+            assert got.dtype == np.float32 and np.array_equal(got, ref)
+        assert all(np.any(gW) for gW in gWs)
+
+    @pytest.mark.parametrize("widths", WIDTHS + ONE_UNIT[:1], ids=str)
+    def test_folded_sign_climbs_the_unfolded_bits(self, widths):
+        # `_objective_linear` backpropagates c once for every entry and
+        # scales each entry's parameter gradient by sign(<h, c>); a climb on
+        # the explicit subgradient sign(<h, c>) * c takes the same steps.  On
+        # a zero target the sign is 0 and no row moves
+        rng = np.random.default_rng(sum(widths))
+        B, N = 6, 300
+        X = rng.uniform(-1.0, 1.0, (N, widths[0])).astype(np.float32)
+        Ws, bs = ([a.astype(np.float32) for a in p] for p in random_stack(rng, widths, B))
+        weights, t = np.full(N, 1.0 / N), rng.uniform(-1.0, 1.0, N)
+        bound = _box(DictSpec(widths[1], len(widths) - 2, DomainSpec(widths[0], 1.0)))
+        box = (-bound.astype(np.float32), bound.astype(np.float32))
+        bufs, XT = _buffers(Ws, N, np.float32), np.ascontiguousarray(X.T)
+        budget, theta = Budget(1, 40), rows_of(Ws, bs)
+
+        def unfolded(weights, values):
+            c = (weights * values).astype(np.float32)
+
+            def eval_obj(h):
+                corr = np.einsum("bn,n->b", h, c)
+                return np.abs(corr), np.sign(corr)[:, None] * c, None
+            return eval_obj
+
+        for target in (t, -t, np.zeros(N)):
+            (obj, best), (ref_obj, ref_best) = (
+                climb(XT, make(weights, target), theta, bufs, widths, box, budget,
+                      [budget.iterations + 1])[0]
+                for make in (_objective_linear, unfolded))
+            assert np.array_equal(obj, ref_obj) and np.array_equal(best, ref_best)
+            assert np.array_equal(best, theta) == (not target.any())
+        still = theta.copy()
+        _ascend_chunk(XT, _objective_linear(weights, np.zeros(N)), still,
+                      [np.full(B, -np.inf, np.float32), theta.copy()], bufs, widths, box,
+                      budget, range(budget.iterations + 1), budget.step0)
+        assert np.array_equal(still, theta)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_projection_matches_per_layer_reference(self, widths, dtype):
@@ -616,7 +673,7 @@ class TestKernel:
 
         theta, bound = rows_of(Ws, bs), _box(spec).astype(dtype)
         best = [np.full(B, -np.inf, dtype), theta.copy()]
-        _ascend_chunk(np.ascontiguousarray(X.T), lambda h: (np.zeros(B, dtype), Gc), theta,
+        _ascend_chunk(np.ascontiguousarray(X.T), lambda h: (np.zeros(B, dtype), Gc, None), theta,
                       best, _buffers(Ws, N, dtype), widths, (-bound, bound),
                       Budget(1, 1, step0=step), range(1), step)
         got_Ws, got_bs = _views(theta, widths)

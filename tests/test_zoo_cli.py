@@ -451,6 +451,24 @@ class TestCliMisc:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_long_integer_literal_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # json.load raises a plain ValueError for an integer literal past
+        # Python's 4300-digit int-string limit; it is invalid JSON, exit 2
+        monkeypatch.chdir(tmp_path)
+        digits = "9" * 5000
+        config = json.dumps(base_config())
+        assert config.count('"seed": 7') == 1
+        (tmp_path / "long.json").write_text(config.replace('"seed": 7', f'"seed": {digits}'))
+        (tmp_path / "report.json").write_text(shaped().replace('"m_prime": 0',
+                                                               f'"m_prime": {digits}'))
+        write_config(tmp_path)
+        argv = (["decompose", "--config", "long.json"] if command == "decompose" else
+                ["verify", "--report", "report.json", "--config", "cfg.json"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid JSON" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["decompose", "--config", "dir"],
         ["decompose", "--config", "latin1.json"],
