@@ -10,7 +10,6 @@ budget, never "invisible".
 from __future__ import annotations
 
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,10 +23,10 @@ from clipreg.measure import FunctionOracle, Quadrature
 _CHUNK = 64
 
 # Successive halving (Jamieson & Talwalkar, AISTATS 2016) of a decomposition
-# stage's correlation ascent: after iteration I // k of its I, for each k here,
-# the better half of the running entries go on (`_rungs`, `_multistart`).  No
-# other search prunes: a pruned audit reported lower values, a pruned polish
-# other picks.
+# stage's correlation ascent (`ascend(..., prune=True)`): after iteration I // k
+# of its I, for each k here, the better half of the running entries go on
+# (`_rungs`, `_multistart`).  No other search prunes: a pruned audit reported
+# lower values, a pruned polish other picks.
 _RUNGS = (4, 2)
 
 
@@ -76,7 +75,6 @@ class Budget:
 class AdversaryResult:
     value: float                 # best |<h, target>| found (lower bound)
     witness: RepNet
-    restarts_run: int
     per_restart_values: tuple
     seed: int
     budget: Budget
@@ -86,7 +84,7 @@ class AdversaryResult:
             "value": self.value,
             "lower_bound_only": True,
             "witness": net_to_dict(self.witness),
-            "restarts_run": self.restarts_run,
+            "restarts_run": self.budget.restarts,
             "per_restart_values": list(self.per_restart_values),
             "seed": self.seed,
             "budget": self.budget.to_dict(),
@@ -313,9 +311,11 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
     float32(q) may exceed q.  Chunks have a fixed size, so results are
     byte-identical for any worker count.  Every chunk reads one contiguous
     (n, N) copy of the nodes: on the strided X.T numpy's matmul leaves BLAS,
-    a third of the kernel's time.  At most `threads` chunks run at once, on
-    min(threads, chunks) buffer sets sized for the first chunk and taken
-    from a queue.
+    a third of the kernel's time.  There are min(threads, chunks) buffer
+    sets, sized for the first chunk.  In each phase, with k = min(buffer
+    sets, chunks), buffer set g ascends chunks g, g + k, ... in turn: group 0
+    on the calling thread, groups 1 to k - 1 on a pool, so a phase of one
+    chunk starts no thread.
 
     Successive halving: after each iteration t in `rungs` (ascending, each
     in 1..budget.iterations - 1), once every chunk has returned, the better
@@ -336,25 +336,28 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
     # the buffers come from the calling thread: glibc keeps what a worker
     # thread frees in that thread's arena, where the rescore that follows
     # cannot reuse it
-    free = queue.SimpleQueue()
-    for _ in range(min(threads, math.ceil(len(run) / _CHUNK))):
-        free.put(_buffers(_views(theta[:_CHUNK], widths)[0], XT.shape[1], np.float32))
+    sets = [_buffers(_views(theta[:_CHUNK], widths)[0], XT.shape[1], np.float32)
+            for _ in range(min(threads, math.ceil(len(run) / _CHUNK)))]
 
-    def run_chunk(part):
-        # a chunk of the running entries, over the current phase's `its`
-        buf = free.get()
-        try:
-            return _ascend_chunk(XT, objective, theta[part], [best_obj[part], best[part]],
+    def run_group(buf, parts, its, step):
+        # chunks of the running entries in turn on one buffer set, over the
+        # phase's `its` from its `step`; each chunk returns the same step
+        for part in parts:
+            last = _ascend_chunk(XT, objective, theta[part], [best_obj[part], best[part]],
                                  buf, widths, box, budget, its, step)
-        finally:
-            free.put(buf)
+        return last
 
     step, lo = budget.step0, 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=len(sets)) as pool:
         for hi in [*rungs, budget.iterations + 1]:
             its = range(lo, hi)
             parts = [slice(s, s + _CHUNK) for s in range(0, len(run), _CHUNK)]
-            step, lo = list(pool.map(run_chunk, parts))[0], hi
+            k = min(len(sets), len(parts))
+            others = [pool.submit(run_group, sets[g], parts[g::k], its, step)
+                      for g in range(1, k)]
+            step, lo = run_group(sets[0], parts[::k], its, step), hi
+            for group in others:
+                group.result()
             if hi > budget.iterations:
                 break
             keep = np.zeros(len(run), dtype=bool)
@@ -432,39 +435,26 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
                                              for W, b in zip(*_views(theta, widths))))
 
 
-def _correlation(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
-                 threads: int, warm_start: RepNet | None, rungs) -> AdversaryResult:
-    scores, witness = _search(quad, spec, values, _objective_linear,
-                              lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
-                              threads, rungs)
-    return AdversaryResult(value=float(scores.max()), witness=witness,
-                           restarts_run=budget.restarts,
-                           per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
-
-
-def ascend(quad: Quadrature, spec: DictSpec, target: FunctionOracle,
-           budget: Budget, seed: int, threads: int = 1,
-           warm_start: RepNet | None = None) -> AdversaryResult:
-    """Maximize |<h_theta, target>| over the (d|r) parameter box.
+def ascend(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
+           threads: int = 1, warm_start: RepNet | None = None,
+           prune: bool = False) -> AdversaryResult:
+    """The correlation search: maximize |<h_theta, target>| over the (d|r)
+    parameter box, `values` the target's (N,) node values.
 
     The dictionary is closed under negation, so one climb of |<h, target>|
     per restart covers both signs; ties across restarts go to the lower
-    restart index.  Every restart runs all the iterations.  Deterministic
-    given seed.
+    restart index.  Every restart runs all the iterations, unless `prune`:
+    a decomposition stage's search halves its entries after the iterations
+    `_rungs` gives (`_multistart`).  An entry that runs to the end takes the
+    very steps it takes unpruned, and one that stops early keeps its best
+    iterate so far, which is rescored with the rest.  Deterministic given
+    seed.
     """
-    return _correlation(quad, spec, target.values(quad), budget, seed, threads, warm_start, ())
-
-
-def _stage_ascend(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
-                  threads: int = 1) -> AdversaryResult:
-    """A decomposition stage's correlation search on the residual's (N,)
-    node values: `ascend` with successive halving (`_rungs`).  Its witness
-    is only the polish's warm start, which `best_gain_element` climbs again
-    and ranks by the exact gain.  Each entry that runs to the end takes the
-    very steps it takes in `ascend`, and an entry that stops early keeps its
-    best iterate so far, which is rescored with the rest."""
-    return _correlation(quad, spec, residual, budget, seed, threads, None,
-                        _rungs(budget.iterations))
+    scores, witness = _search(quad, spec, values, _objective_linear,
+                              lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
+                              threads, _rungs(budget.iterations) if prune else ())
+    return AdversaryResult(value=float(scores.max()), witness=witness,
+                           per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
 
 
 def best_gain_element(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
@@ -492,8 +482,8 @@ def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOra
     Symmetric in (f, g) bit for bit: f - g and g - f are exact negatives,
     and the search climbs |<h, f - g>|, which negation leaves unchanged.
     """
-    return _correlation(quad, spec, f.values(quad) - g.values(quad), budget, seed, threads,
-                        warm_start, ())
+    return ascend(quad, spec, f.values(quad) - g.values(quad), budget, seed, threads,
+                  warm_start)
 
 
 def audit_verdict(value: float, epsilon: float) -> dict:
@@ -509,5 +499,5 @@ def invisibility_audit(quad: Quadrature, spec: DictSpec, h: FunctionOracle,
                        threads: int = 1) -> dict:
     """Report whether any found dictionary element correlates above epsilon.
     A True verdict holds only up to the search budget; it is not a proof."""
-    result = ascend(quad, spec, h, budget, seed, threads=threads)
+    result = ascend(quad, spec, h.values(quad), budget, seed, threads=threads)
     return {**audit_verdict(result.value, epsilon), "result": result}

@@ -71,7 +71,8 @@ def cmd_decompose(args) -> int:
 def cmd_adversary(args) -> int:
     cfg = load_config(args.config)
     quad, target = _setup(cfg)
-    result = ascend(quad, cfg.dict_spec, target, cfg.budget, cfg.solver_seed, threads=args.threads)
+    result = ascend(quad, cfg.dict_spec, target.values(quad), cfg.budget, cfg.solver_seed,
+                    threads=args.threads)
     _write_json(cfg.output.report, result.to_dict())
     print(f"wrote {cfg.output.report} (value={result.value:.6g}, lower bound)")
     return 0
@@ -81,8 +82,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     rows = []
     for n in args.n:
-        domain = DomainSpec(n, cfg.domain.q)
-        run = replace(cfg, domain=domain, dict_spec=replace(cfg.dict_spec, domain=domain))
+        run = replace(cfg, dict_spec=replace(cfg.dict_spec, domain=DomainSpec(n, cfg.domain.q)))
         _, _, report = run_decompose(run, threads=args.threads)
         rows.append([n, report.m_prime, _fmt(report.residual_l2_sq),
                      _fmt(report.audit["result"].value)])
@@ -139,9 +139,6 @@ def cmd_verify(args) -> int:
 
 
 def _threads(text: str) -> int:
-    # a witness search runs its restarts in chunks of _CHUNK on a thread pool
-    # of this many workers, so a search of at most _CHUNK restarts runs on one;
-    # a decomposition stage re-chunks the restarts that survive each halving
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
@@ -149,15 +146,19 @@ def _threads(text: str) -> int:
 
 def _dims(text: str) -> list:
     try:
-        return [DomainSpec(int(tok)).n for tok in text.split(",") if tok]
+        dims = [DomainSpec(int(tok)).n for tok in text.split(",") if tok]
     except ValueError as e:  # int()'s, or DomainSpec's NetError
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of dimensions, got {text!r}: {e}") from e
+    if not dims:
+        raise argparse.ArgumentTypeError(f"expected at least one dimension, got {text!r}")
+    return dims
 
 
-_THREADS_HELP = (f"worker threads for each witness search; only searches of more than "
-                 f"{_CHUNK} restarts are split across them (in a decomposition stage, "
-                 f"while more than {_CHUNK} survive its halvings)")
+_THREADS_HELP = (f"threads for each correlation or gain search, the calling thread "
+                 f"among them; only searches of more than {_CHUNK} restarts are split "
+                 f"across them (in a decomposition stage, while more than {_CHUNK} "
+                 f"survive its halvings)")
 
 
 def build_parser() -> argparse.ArgumentParser:

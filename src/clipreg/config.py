@@ -143,7 +143,6 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    domain: DomainSpec
     dict_spec: DictSpec
     epsilon: float
     quadrature: QuadratureSpec
@@ -152,6 +151,10 @@ class RunConfig:
     target: TargetSpec
     stage_dict: str = "fixed"
     output: OutputSpec = OutputSpec()
+
+    @property
+    def domain(self) -> DomainSpec:
+        return self.dict_spec.domain
 
     def echo(self) -> dict:
         return {
@@ -178,7 +181,6 @@ def parse_config(obj: dict) -> RunConfig:
     domain = owned("domain.", DomainSpec, dom["n"], float(dom["q"]))
     owned("", m_budget_for, obj["epsilon"])
     return RunConfig(
-        domain=domain,
         dict_spec=owned("dict.", DictSpec, dic["d"], dic["r"], domain),
         epsilon=float(obj["epsilon"]),
         quadrature=QuadratureSpec(**obj["quadrature"]),

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from clipreg.adversary import (
     _objective_fit,
     _objective_linear,
     _rungs,
-    _stage_ascend,
     _starts,
     _views,
     ascend,
@@ -79,28 +79,28 @@ class TestCorrelation:
 class TestAscend:
     def test_deterministic(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
-        a = ascend(quad2, DictSpec(2, 1, dom2), f, SMALL, seed=11)
-        b = ascend(quad2, DictSpec(2, 1, dom2), f, SMALL, seed=11)
+        a = ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), SMALL, seed=11)
+        b = ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), SMALL, seed=11)
         assert a.value == b.value
         assert np.array_equal(a.witness.layers[0].W, b.witness.layers[0].W)
 
     def test_value_matches_full_quad_rescore(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
-        res = ascend(quad2, DictSpec(2, 1, dom2), f, SMALL, seed=3)
+        res = ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), SMALL, seed=3)
         assert res.value == pytest.approx(
             abs(inner(quad2, oracle_from_net(res.witness), f)), abs=1e-12)
 
     def test_per_restart_bounded_by_value(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0] ** 2 - 0.5, "par")
-        res = ascend(quad2, DictSpec(2, 1, dom2), f, SMALL, seed=9)
-        assert res.restarts_run == SMALL.restarts
+        res = ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), SMALL, seed=9)
+        assert res.budget.restarts == SMALL.restarts
         assert len(res.per_restart_values) == SMALL.restarts
         assert max(res.per_restart_values) == pytest.approx(res.value)
 
     def test_recovers_planted_self_correlation(self, dom2, quad2):
         net = planted_net(dom2, 1, 0, seed=21)
         f = oracle_from_net(net)
-        res = ascend(quad2, DictSpec(1, 0, dom2), f, Budget(32, 250), seed=5)
+        res = ascend(quad2, DictSpec(1, 0, dom2), f.values(quad2), Budget(32, 250), seed=5)
         # the planted element itself achieves <f,f> = ||f||^2
         assert res.value >= l2_norm_sq(quad2, f) - 0.01
 
@@ -112,15 +112,15 @@ class TestAscend:
         quad = build_quadrature(dom, "low-discrepancy", 4096, seed=3)
         f = FunctionOracle(lambda X: np.sin(8 * np.pi * X[:, 0]), "hf")
         grid_value = 0.039788859319036946
-        res = ascend(quad, DictSpec(1, 0, dom), f, Budget(64, 400), seed=2)
+        res = ascend(quad, DictSpec(1, 0, dom), f.values(quad), Budget(64, 400), seed=2)
         assert res.value == pytest.approx(grid_value, abs=0.01)
 
     def test_warm_start_never_hurts(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
         spec = DictSpec(2, 1, dom2)
         tiny = Budget(restarts=2, iterations=20)
-        cold = ascend(quad2, spec, f, Budget(32, 250), seed=7)
-        warm = ascend(quad2, spec, f, tiny, seed=99, warm_start=cold.witness)
+        cold = ascend(quad2, spec, f.values(quad2), Budget(32, 250), seed=7)
+        warm = ascend(quad2, spec, f.values(quad2), tiny, seed=99, warm_start=cold.witness)
         # the injected witness is iterate 0 of entry 0 and is always scored
         assert warm.value >= cold.value - 1e-12
 
@@ -134,14 +134,15 @@ class TestAscend:
             net = RepNet(dom2, (Layer(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)),
                                 Layer(rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, 1))))
             f = oracle_from_net(net)
-            res = ascend(quad2, spec, f, Budget(1, 1, step0=1e-9), seed=trial, warm_start=net)
+            res = ascend(quad2, spec, f.values(quad2), Budget(1, 1, step0=1e-9), seed=trial,
+                         warm_start=net)
             assert res.value >= abs(inner(quad2, f, f)) - 1e-12
 
     def test_weights_inside_box_when_q_not_float32(self, quad2):
         # float32(1.1) > 1.1: the float32 search must not leak it into a witness
         dom = DomainSpec(2, 1.1)
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
-        res = ascend(quad2, DictSpec(2, 1, dom), f, Budget(8, 60), seed=3)
+        res = ascend(quad2, DictSpec(2, 1, dom), f.values(quad2), Budget(8, 60), seed=3)
         assert max(np.abs(layer.W).max() for layer in res.witness.layers) <= dom.q
         assert max(np.abs(layer.W).max() for layer in res.witness.layers) == dom.q
 
@@ -149,18 +150,18 @@ class TestAscend:
     def test_warm_start_of_other_architecture_rejected(self, dom2, quad2, d, r):
         f = FunctionOracle(lambda X: X[:, 0], "lin")
         with pytest.raises(AdversaryError):
-            ascend(quad2, DictSpec(2, 1, dom2), f, Budget(2, 5), seed=0,
+            ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), Budget(2, 5), seed=0,
                    warm_start=planted_net(dom2, d, r, seed=1))
 
     def test_witness_respects_arch(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0], "lin")
-        res = ascend(quad2, DictSpec(3, 2, dom2), f, Budget(4, 30), seed=1)
+        res = ascend(quad2, DictSpec(3, 2, dom2), f.values(quad2), Budget(4, 30), seed=1)
         assert res.witness.satisfies(RepCert(3, 2))
         assert abs(res.witness.layers[-1].b[0]) <= dom2.bias_bound(3)
 
     def test_result_serializes(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 1], "lin")
-        res = ascend(quad2, DictSpec(1, 0, dom2), f, Budget(4, 30), seed=1)
+        res = ascend(quad2, DictSpec(1, 0, dom2), f.values(quad2), Budget(4, 30), seed=1)
         d = res.to_dict()
         assert d["lower_bound_only"] is True
         assert d["value"] == res.value
@@ -189,7 +190,7 @@ class TestStarts:
         # restart i starts from seed ^ i, negative exactly when seed is
         f = FunctionOracle(lambda X: X[:, 0], "lin")
         with pytest.raises(NetError) as exc:
-            ascend(quad2, DictSpec(2, 1, dom2), f, Budget(2, 5), seed=-1)
+            ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), Budget(2, 5), seed=-1)
         assert exc.value.param == "seed"
 
     def test_warm_start_takes_restart_zero(self, dom2):
@@ -344,7 +345,7 @@ class TestBestGainElement:
 
             for budget in (SMALL, Budget(8, 60)):
                 for seed in range(5):
-                    corr = ascend(quad2, spec, f, budget, seed=seed)
+                    corr = ascend(quad2, spec, f.values(quad2), budget, seed=seed)
                     net = best_gain_element(quad2, spec, fv, budget, seed=seed + 1,
                                             warm_start=corr.witness)
                     assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9, \
@@ -353,7 +354,7 @@ class TestBestGainElement:
     def test_witnesses_are_float64(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
         spec = DictSpec(2, 1, dom2)
-        corr = ascend(quad2, spec, f, Budget(4, 30), seed=1).witness
+        corr = ascend(quad2, spec, f.values(quad2), Budget(4, 30), seed=1).witness
         gain = best_gain_element(quad2, spec, f.values(quad2), Budget(4, 30), seed=2,
                                  warm_start=corr)
         for net in (corr, gain):
@@ -551,7 +552,7 @@ class TestKernel:
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         tracemalloc.start()
         try:
-            ascend(quad, DictSpec(8, 3, dom2), f, Budget(16, 2), seed=1)
+            ascend(quad, DictSpec(8, 3, dom2), f.values(quad), Budget(16, 2), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -731,8 +732,9 @@ class TestThreads:
         budget = Budget(restarts=2 * _CHUNK + 8, iterations=10)  # chunks 64, 64, 8
         # a stage's ascent halves the 136 running entries to 68 after
         # iteration 2 and to 34 after 5, re-chunked as 64 + 4, then as one
-        for search, target in ((ascend, f), (_stage_ascend, f.values(quad2))):
-            a, *others = (search(quad2, DictSpec(2, 1, dom2), target, budget, seed=5, threads=t)
+        for prune in (False, True):
+            a, *others = (ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=5,
+                                 threads=t, prune=prune)
                           for t in (1, 2, 3))
             for b in others:
                 assert a.per_restart_values == b.per_restart_values
@@ -745,14 +747,42 @@ class TestThreads:
         calls, real = [], adversary._buffers
         monkeypatch.setattr(adversary, "_buffers", lambda *args: calls.append(args) or real(*args))
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
-        ascend(quad2, DictSpec(2, 1, dom2), f, Budget(restarts=2 * _CHUNK + 8, iterations=2),
-               seed=5, threads=threads)
+        ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2),
+               Budget(restarts=2 * _CHUNK + 8, iterations=2), seed=5, threads=threads)
         assert len(calls) == threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_one_chunk_starts_no_thread(self, dom2, quad2, monkeypatch, threads):
+        # a search of at most _CHUNK restarts runs on the calling thread
+        starts, real = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread) or real(thread))
+        fv, spec = np.sign(quad2.nodes[:, 0] * quad2.nodes[:, 1]), DictSpec(2, 1, dom2)
+        budget = Budget(restarts=_CHUNK, iterations=4)
+        ascend(quad2, spec, fv, budget, seed=5, threads=threads)
+        stage_solve(quad2, spec, fv, budget, seed=5, threads=threads)  # pruned ascent, polish
+        assert starts == []
+
+    def test_first_chunk_on_calling_thread(self, dom2, quad2, monkeypatch):
+        # chunks 64, 64, 8 on three threads: restart 0's chunk runs on the caller
+        spec, budget = DictSpec(2, 1, dom2), Budget(restarts=2 * _CHUNK + 8, iterations=2)
+        first = _starts(spec, budget, 5, None)[0].astype(np.float32)
+        idents, real = [], adversary._ascend_chunk
+
+        def recording(XT, objective, theta, *args):
+            if np.array_equal(theta[0], first):
+                idents.append(threading.get_ident())
+            return real(XT, objective, theta, *args)
+
+        monkeypatch.setattr(adversary, "_ascend_chunk", recording)
+        ascend(quad2, spec, np.sign(quad2.nodes[:, 0] * quad2.nodes[:, 1]), budget, seed=5,
+               threads=3)
+        assert idents == [threading.get_ident()]
 
     def test_ascend_multi_chunk(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         budget = Budget(restarts=_CHUNK + 8, iterations=30)  # one entry per restart
-        a, b = (ascend(quad2, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+        a, b = (ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=5, threads=t)
                 for t in (1, 2))
         assert a.value == b.value
         assert a.per_restart_values == b.per_restart_values
@@ -774,7 +804,7 @@ class TestThreads:
         quad = build_quadrature(dom2, "seeded-uniform", 2 * _SEARCH_NODES, seed=4)
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         budget = Budget(restarts=_CHUNK + 8, iterations=30)  # one entry per restart
-        a, b = (ascend(quad, DictSpec(2, 1, dom2), f, budget, seed=5, threads=t)
+        a, b = (ascend(quad, DictSpec(2, 1, dom2), f.values(quad), budget, seed=5, threads=t)
                 for t in (1, 2))
         assert a.value == pytest.approx(
             abs(inner(quad, oracle_from_net(a.witness), f)), abs=1e-12)
@@ -852,7 +882,7 @@ class TestSuccessiveHalving:
         monkeypatch.setattr(adversary, "_ascend_chunk", recording)
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
         budget = Budget(4, 80)
-        _stage_ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=1)
+        ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), budget, seed=1, prune=True)
         stops, step, expected = [0, 20, 40, 81], budget.step0, []
         for lo, hi in zip(stops, stops[1:]):
             expected.append((range(lo, hi), step))
@@ -875,12 +905,12 @@ class TestSuccessiveHalving:
         fv, spec, budget = f.values(quad2), DictSpec(2, 1, dom2), Budget(16, 20)
         full = 16 * 21
         for search, expected in [
-                (lambda: ascend(quad2, spec, f, budget, 1), full),
+                (lambda: ascend(quad2, spec, f.values(quad2), budget, 1), full),
                 (lambda: sigma_dr(quad2, spec, f, const_oracle(0), budget, 1), full),
                 (lambda: invisibility_audit(quad2, spec, f, 0.3, budget, 1), full),
                 (lambda: best_gain_element(quad2, spec, fv, budget, 1), full),
                 # 16 entries to iteration 5, 8 to 10, 4 to the end
-                (lambda: _stage_ascend(quad2, spec, fv, budget, 1), 16 * 5 + 8 * 5 + 4 * 11),
+                (lambda: ascend(quad2, spec, fv, budget, 1, prune=True), 16 * 5 + 8 * 5 + 4 * 11),
                 # and the polish from its witness: 8 restarts to the end
                 (lambda: stage_solve(quad2, spec, fv, budget, 1), 164 + 8 * 21)]:
             passes[0] = 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipreg import decomposer
-from clipreg.adversary import Budget, DictSpec, _stage_ascend, best_gain_element
+from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element
 from clipreg.decomposer import (
     _STAGE_SEED_STRIDE,
     DecomposeError,
@@ -89,7 +89,7 @@ class TestStageSolve:
         spec, budget = DictSpec(2, 1, dom2), Budget(16, 100)
         fv, w = f.values(quad2), quad2.weights
         element, values, lam, gain = stage_solve(quad2, spec, fv, budget, seed=seed)
-        witness = _stage_ascend(quad2, spec, fv, budget, seed).witness
+        witness = ascend(quad2, spec, fv, budget, seed, prune=True).witness
         winner = best_gain_element(quad2, spec, fv, replace(budget, restarts=8), seed + 1,
                                    warm_start=witness)
         assert net_to_dict(element) == net_to_dict(winner)

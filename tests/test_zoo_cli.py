@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ class TestConfig:
         assert cfg.epsilon == 0.5
         assert cfg.stage_dict == "fixed"
         assert cfg.output.report == "report.json"
+
+    def test_domain_is_the_dictionary_domain(self):
+        # one stored domain: a run on another dimension replaces dict_spec only
+        cfg = parse_config(base_config())
+        run = replace(cfg, dict_spec=replace(cfg.dict_spec, domain=DomainSpec(4, 1.0)))
+        assert run.domain.n == 4
 
     def test_echo_is_stable(self):
         cfg = parse_config(base_config())
@@ -398,6 +405,17 @@ class TestCliSweep:
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", cfg_path, "--n", "2,0", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [",", ""])
+    def test_sweep_rejects_no_dimension(self, tmp_path, capsys, dims):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg_path, "--n", dims, "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--n" in err and "Traceback" not in err
