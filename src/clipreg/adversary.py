@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, seeded_params
-from clipreg.measure import FunctionOracle, Quadrature
+from clipreg.measure import NODE_BLOCK, FunctionOracle, Quadrature, node_sum
 
 # Restarts run in chunks of this fixed size, so the result bytes are the same
 # for any worker count, and threads split only searches of more restarts.
@@ -128,13 +128,27 @@ def fit(h, weights, values, q: float):
     0 where ||h||^2 < 1e-14, and its gain 2*lam*<h, values> - lam^2*||h||^2,
     the exact decrease of ||values - lam*h||^2.  Returns (lam, gain).
 
+    In float64 the two node sums are `node_sum`s of `_fit_terms`, whose bits
+    no BLAS thread count moves.  The float32 search's sums are BLAS gemvs:
+    they only steer the search, and other sums there would move its picks.
+
     The gain is at most the energy sum(weights * values**2): by Cauchy-Schwarz
     no lam does better than <h, values>^2/||h||^2.  In float64, with entries
     of h and values in [-1, 1] whose products stay normal numbers, the
     computed gain exceeds the computed energy by less than 1e-12 relative;
     `decompose` stops on this bound once the energy left is at most eps^2."""
-    c = (h * values) @ weights
-    h2 = (h * h) @ weights
+    if np.result_type(h, weights, values) == np.float32:
+        return _clamped((h * values) @ weights, (h * h) @ weights, q)
+    return _clamped(*map(node_sum, _fit_terms(h, weights, values)), q)
+
+
+def _fit_terms(h, weights, values):
+    """The summands of `fit`'s float64 node sums <h, values> and ||h||^2."""
+    return h * values * weights, h * h * weights
+
+
+def _clamped(c, h2, q: float):
+    """`fit`'s (lam, gain) from the sums c = <h, values> and h2 = ||h||^2."""
     lam = np.where(h2 < 1e-14, 0.0, np.clip(c / np.maximum(h2, 1e-14), -q, q))
     return lam, 2.0 * lam * c - lam * lam * h2
 
@@ -269,9 +283,9 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
 # The search itself runs on at most this many nodes, a Sobol prefix or a
 # seeded random subset of the quadrature (`_search_sample`); every reported
 # quantity (correlations, gains, audit values) is recomputed on the full
-# shared quadrature, so the exact inequalities are unaffected.  The rescore's
-# forward pass runs in blocks of as many nodes, so its scratch does not grow
-# with the quadrature.
+# shared quadrature, so the exact inequalities are unaffected.  The rescore
+# runs in `node_sum`'s blocks of NODE_BLOCK nodes, so its scratch does not
+# grow with the quadrature.
 _SEARCH_NODES = 2048
 
 
@@ -368,27 +382,61 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
     return np.clip(out, -bound, bound, out=out)
 
 
-def _forward_all(X, Ws, bs):
+def _forward_blocks(X, Ws, bs):
     """Full-quadrature forward pass for a stack of parameter sets at the
-    nodes X (N, n): h, (E, N).
+    nodes X (N, n), in `node_sum`'s blocks of NODE_BLOCK nodes: yields
+    (nodes, h) per block, the block's slice of the N nodes and h (E, block)
+    the outputs there, in scratch that the next block overwrites.
 
-    The pass runs over blocks of at most _SEARCH_NODES nodes, each on a
-    contiguous (n, block) copy of its rows of X, and writes each block's
-    output into h; a node's value does not depend on the other nodes of its
-    block, so the bits are those of one pass over all N.  Each layer clips
-    in place and reads only the layer before it, so two block-sized buffers
-    take turns: even layers use one, odd layers the other.
+    Each block runs on a contiguous (n, block) copy of its rows of X; a
+    node's value does not depend on the other nodes of its block, so the
+    bits are those of one pass over all N.  Each layer clips in place and
+    reads only the layer before it, so two block-sized buffers take turns:
+    even layers use one, odd layers the other.
     """
     E, N = len(bs[0]), len(X)
     widths = [b.shape[1] for b in bs]
-    block = min(N, _SEARCH_NODES)
+    block = min(N, NODE_BLOCK)
     pair = [np.empty(E * max(widths[k::2], default=0) * block) for k in (0, 1)]
-    h = np.empty((E, N))
     for lo in range(0, N, block):
         XT = np.ascontiguousarray(X[lo:lo + block].T)
         bufs = [pair[l % 2][:E * w * XT.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
-        h[:, lo:lo + block] = _forward(XT, Ws, bs, bufs, bufs)
+        yield slice(lo, lo + XT.shape[1]), _forward(XT, Ws, bs, bufs, bufs)
+
+
+def _forward_all(X, Ws, bs):
+    """h, (E, N): the blocks of `_forward_blocks` in one array.  The
+    rescore never holds it (`_rescore`)."""
+    h = np.empty((len(bs[0]), len(X)))
+    for nodes, block in _forward_blocks(X, Ws, bs):
+        h[:, nodes] = block
     return h
+
+
+def _rescore(quad: Quadrature, theta, widths, values, score):
+    """The float64 scores (E,) of the parameter rows theta (E, P) against
+    the target's (N,) node values on the full quadrature.
+
+    score = (terms, finish): terms(h, weights, values) gives the summands,
+    each (E, block), of the node sums that a score needs at one block's h
+    and the block's weights and values, and finish(*sums) the scores.  Each
+    block that `_forward_blocks` makes is reduced as it is made, and only
+    the (E, blocks) partials are kept, so no (E, N) array is held.  The
+    partials and their sum are `node_sum`'s, so every sum has the bits of
+    `node_sum` over the whole row, for any number of rows."""
+    terms, finish = score
+    parts = [[np.add.reduce(t, axis=-1) for t in terms(h, quad.weights[nodes], values[nodes])]
+             for nodes, h in _forward_blocks(quad.nodes, *_views(theta, widths))]
+    return finish(*(np.add.reduce(np.stack(p, axis=-1), axis=-1) for p in zip(*parts)))
+
+
+# `_rescore`'s scores: the correlation |<h, values>| of `ascend`, and `fit`'s
+# gain at the bound q of `best_gain_element`
+_CORRELATION = (lambda h, weights, values: [h * (weights * values)], np.abs)
+
+
+def _gain(q: float):
+    return _fit_terms, lambda c, h2: _clamped(c, h2, q)[1]
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
@@ -412,9 +460,9 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     """The search core: ascend `objective(weights, values)`, `values` the
     target's (N,) node values, on the search subsample from `_starts`, one
     entry per restart, halving the entries after each iteration in `rungs`
-    (`_multistart`), score each best iterate with `score(h, weights,
-    values)` on the full quadrature, and return the scores (restarts,) and
-    the first best entry's net.
+    (`_multistart`), score each best iterate by `score` on the full
+    quadrature (`_rescore`), and return the scores (restarts,) and the first
+    best entry's net.
 
     The float32 search sees a warm start rounded, so its exact float64 row
     is scored too and, when it scores strictly higher, replaces entry 0's.
@@ -422,12 +470,9 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     X, ws, idx = _search_sample(quad)
     widths, starts = spec.arch(), _starts(spec, budget, seed, warm_start)
     theta = _multistart(X, spec, starts, objective(ws, values[idx]), budget, threads, rungs)
-    # scored on all of h at once: a product over a block of h's rows sums in
-    # another order and can change the last bits
-    scores = score(_forward_all(quad.nodes, *_views(theta, widths)), quad.weights, values)
+    scores = _rescore(quad, theta, widths, values, score)
     if warm_start is not None:
-        own = score(_forward_all(quad.nodes, *_views(starts[:1], widths)), quad.weights,
-                    values)[0]
+        own = _rescore(quad, starts[:1], widths, values, score)[0]
         if own > scores[0]:
             scores[0], theta[0] = own, starts[0]
     e = int(np.argmax(scores))
@@ -450,9 +495,8 @@ def ascend(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
     iterate so far, which is rescored with the rest.  Deterministic given
     seed.
     """
-    scores, witness = _search(quad, spec, values, _objective_linear,
-                              lambda h, w, v: np.abs(h @ (w * v)), budget, seed, warm_start,
-                              threads, _rungs(budget.iterations) if prune else ())
+    scores, witness = _search(quad, spec, values, _objective_linear, _CORRELATION, budget, seed,
+                              warm_start, threads, _rungs(budget.iterations) if prune else ())
     return AdversaryResult(value=float(scores.max()), witness=witness,
                            per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
 
@@ -470,8 +514,8 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual, budget: Budget
     as `ascend`, one per restart.
     """
     q = spec.domain.q
-    return _search(quad, spec, residual, lambda w, v: _objective_fit(w, v, q),
-                   lambda h, w, v: fit(h, w, v, q)[1], budget, seed, warm_start, threads)[1]
+    return _search(quad, spec, residual, lambda w, v: _objective_fit(w, v, q), _gain(q),
+                   budget, seed, warm_start, threads)[1]
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,

@@ -80,17 +80,19 @@ def cmd_adversary(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    rows = []
-    for n in args.n:
-        run = replace(cfg, dict_spec=replace(cfg.dict_spec, domain=DomainSpec(n, cfg.domain.q)))
-        _, _, report = run_decompose(run, threads=args.threads)
-        rows.append([n, report.m_prime, _fmt(report.residual_l2_sq),
-                     _fmt(report.audit["result"].value)])
-        print(f"n={n}: m'={report.m_prime}/{report.m_budget}")
+    # each row is written as its dimension finishes, so a dimension that the
+    # config rejects later keeps the rows before it
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
+        for n in args.n:
+            run = replace(cfg, dict_spec=replace(cfg.dict_spec,
+                                                 domain=DomainSpec(n, cfg.domain.q)))
+            _, _, report = run_decompose(run, threads=args.threads)
+            writer.writerow([n, report.m_prime, _fmt(report.residual_l2_sq),
+                             _fmt(report.audit["result"].value)])
+            fh.flush()
+            print(f"n={n}: m'={report.m_prime}/{report.m_budget}")
     print(f"wrote {args.out}")
     return 0
 

@@ -266,7 +266,8 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     checks = [("g_from_picks", net_to_dict(rebuilt) == report["g"],
                "g is the composition of the stored picks with their lambdas")]
 
-    # sums over the nodes, whose last bits follow the OpenBLAS thread count
+    # node sums in a fixed order, but of values from eval_batch, whose BLAS
+    # products another machine's kernels may round otherwise
     for path, got in (("trace.t0", quad.integral(fvals * fvals)),
                       ("residual_l2_sq", residual_l2_sq), ("residual_l1", residual_l1)):
         checks.append((path, abs(got - stated[path]) <= 1e-10,

@@ -65,8 +65,30 @@ class Quadrature:
 
     def integral(self, values) -> float:
         """sum_i weight_i values_i of (N,) node values: every weighted node
-        sum, one np.dot, whose last bits follow the OpenBLAS thread count."""
-        return float(np.dot(self.weights, values))
+        sum, the `node_sum` of the products, so no BLAS thread count moves
+        its bits."""
+        return float(node_sum(self.weights * values))
+
+
+# `node_sum` adds the nodes in blocks of this many
+NODE_BLOCK = 2048
+
+
+def node_sum(values):
+    """The sum over the last axis, the nodes, of `values` (..., N) in one
+    fixed order: np.add.reduce over each block of NODE_BLOCK nodes from node
+    0 on, then np.add.reduce over the block partials.
+
+    No thread count or batch shape moves its bits: a row of a stack sums as
+    that row alone, and a sum streamed block by block in this order has the
+    bits of the sum over the whole row."""
+    v = np.ascontiguousarray(values)  # a reduce over a strided axis adds in another order
+    cut = v.shape[-1] - v.shape[-1] % NODE_BLOCK
+    parts = np.add.reduce(v[..., :cut].reshape(*v.shape[:-1], -1, NODE_BLOCK), axis=-1)
+    if cut < v.shape[-1]:
+        parts = np.concatenate([parts, np.add.reduce(v[..., cut:], axis=-1, keepdims=True)],
+                               axis=-1)
+    return np.add.reduce(parts, axis=-1)
 
 
 def _table_rows(member: str, n: int, columns: int = 1) -> np.ndarray:

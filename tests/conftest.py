@@ -17,9 +17,14 @@ def random_net(rng, domain, max_width=3, max_depth=3):
 
 
 def clamped_step(hv, weights, values, q):
-    """The clamped step's (lambda, gain) for one net's node values, in scalars."""
-    c = float(np.dot(weights, hv * values))
-    h2 = float(np.dot(weights, hv * hv))
+    """The clamped step's (lambda, gain) for one net's node values, in
+    scalars.  Each weighted node sum adds every block of 2048 nodes with
+    np.add.reduce, then the block partials, the order of `fit` in float64."""
+    def node_sum(x):
+        return float(np.add.reduce([np.add.reduce(x[lo:lo + 2048])
+                                    for lo in range(0, len(x), 2048)]))
+    c = node_sum(hv * values * weights)
+    h2 = node_sum(hv * hv * weights)
     if h2 < 1e-14:
         return 0.0, 0.0
     lam = float(np.clip(c / h2, -q, q))

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from clipreg import adversary
 from clipreg.adversary import (
     _CHUNK,
+    _CORRELATION,
     _SEARCH_NODES,
     AdversaryError,
     Budget,
@@ -21,9 +22,11 @@ from clipreg.adversary import (
     _buffers,
     _forward,
     _forward_all,
+    _gain,
     _multistart,
     _objective_fit,
     _objective_linear,
+    _rescore,
     _rungs,
     _starts,
     _views,
@@ -38,6 +41,7 @@ from clipreg.measure import (
     build_quadrature,
     inner,
     l2_norm_sq,
+    node_sum,
     oracle_from_net,
     oracle_from_values,
     sigma_l1,
@@ -544,19 +548,40 @@ class TestKernel:
         h_ref = strided_step(X, Ws, bs, np.zeros((16, N)))[0]
         assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
 
+    @pytest.mark.parametrize("N", [2 * _SEARCH_NODES + 77, _SEARCH_NODES // 2 + 3])
+    @pytest.mark.parametrize("widths", WIDTHS, ids=str)
+    def test_streamed_rescore_has_the_whole_row_bits(self, widths, N):
+        # the rescore reduces each node block as it is made; every score has
+        # the bits of node_sum over the whole row, for the stack and each row
+        rng = np.random.default_rng(sum(widths) + N)
+        quad = build_quadrature(DomainSpec(widths[0], 1.0), "seeded-uniform", N, seed=5)
+        Ws, bs = random_stack(rng, widths, 16)
+        theta, values = rows_of(Ws, bs), rng.uniform(-1.0, 1.0, N)
+        h = _forward_all(quad.nodes, Ws, bs)
+        for score, whole in ((_CORRELATION, np.abs(node_sum(h * (quad.weights * values)))),
+                             (_gain(1.0), fit(h, quad.weights, values, 1.0)[1])):
+            assert np.array_equal(_rescore(quad, theta, widths, values, score), whole)
+            alone = [_rescore(quad, row[None], widths, values, score)[0] for row in theta]
+            assert np.array_equal(alone, whole)
+
     def test_search_memory_is_bounded_by_the_block(self, dom2):
-        # one (E, w, N) float64 rescore buffer pair at (8|3), 16 restarts and
-        # 2^14 nodes alone took 2 x 16.8 MB; the blocked rescore and the
-        # float32 search scratch together stay below that
-        quad = build_quadrature(dom2, "low-discrepancy", 2 ** 14, seed=3)
+        # (d, r, restarts, nodes, bound on the traced peak): one (E, w, N)
+        # float64 rescore buffer pair at (8|3), 16 restarts and 2^14 nodes
+        # alone took 2 x 16.8 MB; the rescore's h, (E, N), at (2|1), 64
+        # restarts and 2^17 nodes alone took 64 MB.  The blocked, streamed
+        # rescore and the float32 search scratch together stay below both
+        rows = [(8, 3, 16, 2 ** 14, 2 * 16 * 8 * 2 ** 14 * 8),
+                (2, 1, 64, 2 ** 17, 64 * 2 ** 17 * 8 // 4)]
+        quads = [build_quadrature(dom2, "low-discrepancy", N, seed=3) for *_, N, _ in rows]
         f = FunctionOracle(lambda X: np.sign(X[:, 0] * X[:, 1]), "sp")
-        tracemalloc.start()
-        try:
-            ascend(quad, DictSpec(8, 3, dom2), f.values(quad), Budget(16, 2), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 16 * 8 * 2 ** 14 * 8
+        for (d, r, restarts, N, bound), quad in zip(rows, quads):
+            tracemalloc.start()
+            try:
+                ascend(quad, DictSpec(d, r, dom2), f.values(quad), Budget(restarts, 2), seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (d, r, restarts, N)
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_negated_target_climbs_the_same_bits(self, widths):

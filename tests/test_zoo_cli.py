@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clipreg
 from clipreg.cli import main
 from clipreg.config import ConfigError, load_config, parse_config
 from clipreg.measure import build_quadrature, oracle_from_net
@@ -249,6 +254,27 @@ class TestCliDecompose:
         assert main(["decompose", "--config", str(path)]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_report_bytes_at_any_blas_thread_count(self, tmp_path):
+        # every float64 node sum runs in one fixed order, not in OpenBLAS,
+        # whose dot products sum in an order that follows its thread count
+        src = str(Path(clipreg.__file__).resolve().parents[1])
+        reports = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / blas_threads
+            out.mkdir()
+            cfg_path = write_config(
+                out, epsilon=0.3, target={"name": "sign-product", "params": {}},
+                quadrature={"scheme": "low-discrepancy", "size": 2 ** 14, "seed": 3},
+                solver=solver(iterations=30),
+                output={name: str(out / name) for name in ("report", "trace", "witness")})
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-m", "clipreg.cli", "decompose",
+                                  "--config", cfg_path], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            reports.append((out / "report").read_bytes())
+        assert reports[0] == reports[1]
+
 
 NET = {"n": 2, "q": 1.0, "layers": [[{"w": [0.0, 0.0], "b": 0.0}]]}
 # every field certify_split reads, each of the right JSON type
@@ -391,6 +417,18 @@ class TestCliSweep:
         assert [r[0] for r in rows[1:]] == ["2", "4"]
         for row in rows[1:]:
             assert int(row[1]) <= 4
+
+    def test_sweep_keeps_rows_before_a_rejected_dimension(self, tmp_path, capsys):
+        # the tensor grid is rejected above n = 4, after the n = 2 run
+        cfg_path = write_config(tmp_path, quadrature={"scheme": "tensor-grid", "size": 16,
+                                                      "seed": 0})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg_path, "--n", "2,30", "--out", str(out)]) == 2
+        assert "quadrature.scheme" in capsys.readouterr().err
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "m_prime", "residual_l2_sq", "audit_value"]
+        assert [r[0] for r in rows[1:]] == ["2"]
 
     # --n is parsed by argparse, which exits 2 before any run
     def test_sweep_bad_dims(self, tmp_path, capsys):
