@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, seeded_params
-from clipreg.measure import NODE_BLOCK, FunctionOracle, Quadrature, node_sum
+from clipreg.measure import FunctionOracle, Quadrature, block_total, node_blocks, node_sum
 
 # Restarts run in chunks of this fixed size, so the result bytes are the same
 # for any worker count, and threads split only searches of more restarts.
@@ -284,8 +284,8 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
 # seeded random subset of the quadrature (`_search_sample`); every reported
 # quantity (correlations, gains, audit values) is recomputed on the full
 # shared quadrature, so the exact inequalities are unaffected.  The rescore
-# runs in `node_sum`'s blocks of NODE_BLOCK nodes, so its scratch does not
-# grow with the quadrature.
+# runs in the node blocks of `measure`, so its scratch does not grow with
+# the quadrature.
 _SEARCH_NODES = 2048
 
 
@@ -384,9 +384,9 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
 
 def _forward_blocks(X, Ws, bs):
     """Full-quadrature forward pass for a stack of parameter sets at the
-    nodes X (N, n), in `node_sum`'s blocks of NODE_BLOCK nodes: yields
-    (nodes, h) per block, the block's slice of the N nodes and h (E, block)
-    the outputs there, in scratch that the next block overwrites.
+    nodes X (N, n), in the blocks of `measure.node_blocks`: yields (nodes,
+    h) per block, the block's slice of the N nodes and h (E, block) the
+    outputs there, in scratch that the next block overwrites.
 
     Each block runs on a contiguous (n, block) copy of its rows of X; a
     node's value does not depend on the other nodes of its block, so the
@@ -394,23 +394,12 @@ def _forward_blocks(X, Ws, bs):
     reads only the layer before it, so two block-sized buffers take turns:
     even layers use one, odd layers the other.
     """
-    E, N = len(bs[0]), len(X)
-    widths = [b.shape[1] for b in bs]
-    block = min(N, NODE_BLOCK)
-    pair = [np.empty(E * max(widths[k::2], default=0) * block) for k in (0, 1)]
-    for lo in range(0, N, block):
-        XT = np.ascontiguousarray(X[lo:lo + block].T)
+    E, widths, blocks = len(bs[0]), [b.shape[1] for b in bs], node_blocks(len(X))
+    pair = [np.empty(E * max(widths[k::2], default=0) * blocks[0].stop) for k in (0, 1)]
+    for nodes in blocks:
+        XT = np.ascontiguousarray(X[nodes].T)
         bufs = [pair[l % 2][:E * w * XT.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
-        yield slice(lo, lo + XT.shape[1]), _forward(XT, Ws, bs, bufs, bufs)
-
-
-def _forward_all(X, Ws, bs):
-    """h, (E, N): the blocks of `_forward_blocks` in one array.  The
-    rescore never holds it (`_rescore`)."""
-    h = np.empty((len(bs[0]), len(X)))
-    for nodes, block in _forward_blocks(X, Ws, bs):
-        h[:, nodes] = block
-    return h
+        yield nodes, _forward(XT, Ws, bs, bufs, bufs)
 
 
 def _rescore(quad: Quadrature, theta, widths, values, score):
@@ -421,13 +410,13 @@ def _rescore(quad: Quadrature, theta, widths, values, score):
     each (E, block), of the node sums that a score needs at one block's h
     and the block's weights and values, and finish(*sums) the scores.  Each
     block that `_forward_blocks` makes is reduced as it is made, and only
-    the (E, blocks) partials are kept, so no (E, N) array is held.  The
-    partials and their sum are `node_sum`'s, so every sum has the bits of
-    `node_sum` over the whole row, for any number of rows."""
+    its partials go on to `block_total`, so no (E, N) array is held and
+    every sum has the bits of `node_sum` over the whole row, for any number
+    of rows."""
     terms, finish = score
-    parts = [[np.add.reduce(t, axis=-1) for t in terms(h, quad.weights[nodes], values[nodes])]
-             for nodes, h in _forward_blocks(quad.nodes, *_views(theta, widths))]
-    return finish(*(np.add.reduce(np.stack(p, axis=-1), axis=-1) for p in zip(*parts)))
+    return finish(*block_total([
+        [np.add.reduce(t, axis=-1) for t in terms(h, quad.weights[nodes], values[nodes])]
+        for nodes, h in _forward_blocks(quad.nodes, *_views(theta, widths))]))
 
 
 # `_rescore`'s scores: the correlation |<h, values>| of `ascend`, and `fit`'s
@@ -465,16 +454,17 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     best entry's net.
 
     The float32 search sees a warm start rounded, so its exact float64 row
-    is scored too and, when it scores strictly higher, replaces entry 0's.
+    is scored too, as one more row of the same rescore, and, when it scores
+    strictly higher, replaces entry 0's.
     """
     X, ws, idx = _search_sample(quad)
     widths, starts = spec.arch(), _starts(spec, budget, seed, warm_start)
     theta = _multistart(X, spec, starts, objective(ws, values[idx]), budget, threads, rungs)
-    scores = _rescore(quad, theta, widths, values, score)
-    if warm_start is not None:
-        own = _rescore(quad, starts[:1], widths, values, score)[0]
-        if own > scores[0]:
-            scores[0], theta[0] = own, starts[0]
+    rows = theta if warm_start is None else np.concatenate([theta, starts[:1]])
+    scores = _rescore(quad, rows, widths, values, score)
+    if warm_start is not None and scores[-1] > scores[0]:
+        scores[0], theta[0] = scores[-1], starts[0]
+    scores = scores[:len(theta)]
     e = int(np.argmax(scores))
     return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e])
                                              for W, b in zip(*_views(theta, widths))))

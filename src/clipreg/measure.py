@@ -44,11 +44,12 @@ class Quadrature:
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
             raise MeasureError("nodes must be (N, n) with matching weights (N,)")
-        if np.any(weights <= 0):
+        # written so that NaN fails each check, as it fails every comparison
+        if not np.all(weights > 0):
             raise MeasureError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise MeasureError("weights must sum to 1 (probability measure)")
-        if np.max(np.abs(nodes)) > 1.0 + 1e-12:
+        if not np.all(np.abs(nodes) <= 1.0 + 1e-12):
             raise MeasureError("nodes must lie inside the hypercube")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -70,25 +71,33 @@ class Quadrature:
         return float(node_sum(self.weights * values))
 
 
-# `node_sum` adds the nodes in blocks of this many
+# every float64 node sum adds the nodes in blocks of this many (`node_blocks`)
 NODE_BLOCK = 2048
 
 
-def node_sum(values):
-    """The sum over the last axis, the nodes, of `values` (..., N) in one
-    fixed order: np.add.reduce over each block of NODE_BLOCK nodes from node
-    0 on, then np.add.reduce over the block partials.
+def node_blocks(N: int) -> list:
+    """The slices of N nodes into the blocks of every node sum: NODE_BLOCK
+    nodes each from node 0 on, the last block the rest."""
+    return [slice(lo, min(lo + NODE_BLOCK, N)) for lo in range(0, N, NODE_BLOCK)]
 
-    No thread count or batch shape moves its bits: a row of a stack sums as
-    that row alone, and a sum streamed block by block in this order has the
-    bits of the sum over the whole row."""
+
+def block_total(parts):
+    """The node sum from its block partials: `parts` holds, in `node_blocks`'
+    order, np.add.reduce over each block's nodes, each (...,), and the total
+    is np.add.reduce over them.
+
+    Every float64 node sum adds in this one order, whether its blocks are
+    slices of one array (`node_sum`) or made one at a time (the adversary's
+    rescore), and no thread count or batch shape moves its bits: a row of a
+    stack sums as that row alone."""
+    return np.add.reduce(np.stack(parts, axis=-1), axis=-1)
+
+
+def node_sum(values):
+    """The sum over the last axis, the nodes, of `values` (..., N), in
+    `block_total`'s fixed order."""
     v = np.ascontiguousarray(values)  # a reduce over a strided axis adds in another order
-    cut = v.shape[-1] - v.shape[-1] % NODE_BLOCK
-    parts = np.add.reduce(v[..., :cut].reshape(*v.shape[:-1], -1, NODE_BLOCK), axis=-1)
-    if cut < v.shape[-1]:
-        parts = np.concatenate([parts, np.add.reduce(v[..., cut:], axis=-1, keepdims=True)],
-                               axis=-1)
-    return np.add.reduce(parts, axis=-1)
+    return block_total([np.add.reduce(v[..., nodes], axis=-1) for nodes in node_blocks(v.shape[-1])])
 
 
 def _table_rows(member: str, n: int, columns: int = 1) -> np.ndarray:

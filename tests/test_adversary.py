@@ -21,7 +21,7 @@ from clipreg.adversary import (
     _box,
     _buffers,
     _forward,
-    _forward_all,
+    _forward_blocks,
     _gain,
     _multistart,
     _objective_fit,
@@ -37,6 +37,7 @@ from clipreg.adversary import (
     sigma_dr,
 )
 from clipreg.measure import (
+    NODE_BLOCK,
     FunctionOracle,
     build_quadrature,
     inner,
@@ -355,6 +356,22 @@ class TestBestGainElement:
                     assert realized_gain(net) >= realized_gain(corr.witness) - 1e-9, \
                         (f.descriptor, budget, seed)
 
+    def test_warm_start_takes_one_quadrature_pass(self, dom2, quad2, monkeypatch):
+        # the warm start's exact row is rescored as one more row of the
+        # restarts' rescore, not in a second pass over the quadrature
+        passes, forward_blocks = [], adversary._forward_blocks
+
+        def counted(X, Ws, bs):
+            passes.append(len(bs[0]))
+            return forward_blocks(X, Ws, bs)
+
+        monkeypatch.setattr(adversary, "_forward_blocks", counted)
+        spec, fv = DictSpec(2, 1, dom2), zoo("sign-product", {}, dom2).values(quad2)
+        warm = ascend(quad2, spec, fv, SMALL, seed=1).witness
+        passes.clear()
+        best_gain_element(quad2, spec, fv, SMALL, seed=2, warm_start=warm)
+        assert passes == [SMALL.restarts + 1]
+
     def test_witnesses_are_float64(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.sign(X[:, 0]), "step")
         spec = DictSpec(2, 1, dom2)
@@ -446,6 +463,16 @@ def strided_step(X, Ws, bs, Gc):
     return A[:, 0], gWs, gbs
 
 
+def assert_blocks_equal(blocks, h_ref):
+    """The blocks (nodes, h) that `_forward_blocks` yields cover the nodes
+    of h_ref (E, N) in order, each with the bits of its slice."""
+    at = 0
+    for nodes, h in blocks:
+        assert nodes.start == at and np.array_equal(h, h_ref[:, nodes])
+        at = nodes.stop
+    assert at == h_ref.shape[1]
+
+
 def random_stack(rng, widths, B):
     Ws = [rng.uniform(-1.0, 1.0, (B, d_out, d_in)) for d_in, d_out in zip(widths, widths[1:])]
     bs = [rng.uniform(-1.0, 1.0, (B, d_out)) for d_out in widths[1:]]
@@ -530,25 +557,25 @@ class TestKernel:
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_gives_the_strided_bits(self, widths):
         # the float64 rescore runs the forward pass alone, on a contiguous
-        # copy of the full quadrature's nodes
+        # copy of each node block of the full quadrature
         rng = np.random.default_rng(sum(widths))
         X = rng.uniform(-1.0, 1.0, (4096, widths[0]))
         Ws, bs = random_stack(rng, widths, 64)
         h_ref = strided_step(X, Ws, bs, np.zeros((64, len(X))))[0]
-        assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
+        assert_blocks_equal(_forward_blocks(X, Ws, bs), h_ref)
 
-    @pytest.mark.parametrize("N", [2 * _SEARCH_NODES + 77, _SEARCH_NODES // 2 + 3])
+    @pytest.mark.parametrize("N", [2 * NODE_BLOCK + 77, NODE_BLOCK // 2 + 3])
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_blocks_give_the_strided_bits(self, widths, N):
-        # the rescore runs in node blocks of _SEARCH_NODES; a last block that
-        # is short, or one block smaller than _SEARCH_NODES, keeps the bits
+        # the rescore runs in node blocks of NODE_BLOCK; a last block that
+        # is short, or one block smaller than NODE_BLOCK, keeps the bits
         rng = np.random.default_rng(sum(widths) + N)
         X = rng.uniform(-1.0, 1.0, (N, widths[0]))
         Ws, bs = random_stack(rng, widths, 16)
         h_ref = strided_step(X, Ws, bs, np.zeros((16, N)))[0]
-        assert np.array_equal(_forward_all(X, Ws, bs), h_ref)
+        assert_blocks_equal(_forward_blocks(X, Ws, bs), h_ref)
 
-    @pytest.mark.parametrize("N", [2 * _SEARCH_NODES + 77, _SEARCH_NODES // 2 + 3])
+    @pytest.mark.parametrize("N", [2 * NODE_BLOCK + 77, NODE_BLOCK // 2 + 3])
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_streamed_rescore_has_the_whole_row_bits(self, widths, N):
         # the rescore reduces each node block as it is made; every score has
@@ -557,7 +584,7 @@ class TestKernel:
         quad = build_quadrature(DomainSpec(widths[0], 1.0), "seeded-uniform", N, seed=5)
         Ws, bs = random_stack(rng, widths, 16)
         theta, values = rows_of(Ws, bs), rng.uniform(-1.0, 1.0, N)
-        h = _forward_all(quad.nodes, Ws, bs)
+        h = strided_step(quad.nodes, Ws, bs, np.zeros((16, N)))[0]
         for score, whole in ((_CORRELATION, np.abs(node_sum(h * (quad.weights * values)))),
                              (_gain(1.0), fit(h, quad.weights, values, 1.0)[1])):
             assert np.array_equal(_rescore(quad, theta, widths, values, score), whole)
@@ -711,11 +738,11 @@ class TestKernel:
         rng = np.random.default_rng(len(widths))
         X = rng.uniform(-1.0, 1.0, (500, widths[0]))
         Ws, bs = random_stack(rng, widths, 5)
-        h = _forward_all(X, Ws, bs)
         dom = DomainSpec(widths[0], 1.0)
-        for e in range(len(h)):
-            net = RepNet(dom, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs)))
-            np.testing.assert_allclose(h[e], net.eval_batch(X), rtol=0, atol=1e-12)
+        nets = [RepNet(dom, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs))) for e in range(5)]
+        ref = np.stack([net.eval_batch(X) for net in nets])
+        for nodes, h in _forward_blocks(X, Ws, bs):
+            np.testing.assert_allclose(h, ref[:, nodes], rtol=0, atol=1e-12)
 
 
 class TestViews:

@@ -11,6 +11,7 @@ from clipreg import measure
 from clipreg.measure import (
     FunctionOracle,
     MeasureError,
+    Quadrature,
     build_quadrature,
     inner,
     l2_norm_sq,
@@ -77,6 +78,24 @@ class TestBuildQuadrature:
         with pytest.raises(MeasureError) as exc:
             build_quadrature(DomainSpec(n, 1.0), scheme, size)
         assert exc.value.param == "size"
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("nodes, weights", [
+        ([[np.nan]], [1.0]),
+        ([[0.0], [np.nan]], [0.5, 0.5]),
+        ([[0.0]], [np.nan]),
+        ([[0.0], [0.5]], [0.5, np.nan]),
+        ([[1.5]], [1.0]),
+        ([[0.0], [0.5]], [1.5, -0.5]),
+        ([[0.0], [0.5]], [1.0, 0.0]),
+        ([[0.0], [0.5]], [0.5, 0.6]),
+        ([[0.0], [0.5]], [1.0]),
+    ], ids=["nan-node", "nan-second-node", "nan-weight", "nan-second-weight", "node-outside",
+            "negative-weight", "zero-weight", "sum-not-one", "one-weight-for-two-nodes"])
+    def test_bad_input_rejected(self, nodes, weights):
+        with pytest.raises(MeasureError):
+            Quadrature(np.array(nodes), np.array(weights), "x", 0)
 
 
 class TestSobol:
