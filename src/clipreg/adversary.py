@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,6 +52,10 @@ class DictSpec:
         """Layer widths [n, d, ..., d, 1] with r hidden layers."""
         return [self.domain.n] + [self.d] * self.r + [1]
 
+    def holds(self, net: RepNet) -> bool:
+        """Whether `net` has this dictionary's architecture exactly."""
+        return net.domain == self.domain and net.widths == (self.d,) * self.r
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -66,14 +70,10 @@ class Budget:
             if not ok:
                 raise AdversaryError(f"{param} out of range in {self}", param)
 
-    def to_dict(self) -> dict:
-        return {"restarts": self.restarts, "iterations": self.iterations,
-                "step0": self.step0, "decay": self.decay}
-
 
 @dataclass(frozen=True)
 class AdversaryResult:
-    value: float                 # best |<h, target>| found (lower bound)
+    value: float                 # best score found (lower bound)
     witness: RepNet
     per_restart_values: tuple
     seed: int
@@ -87,7 +87,7 @@ class AdversaryResult:
             "restarts_run": self.budget.restarts,
             "per_restart_values": list(self.per_restart_values),
             "seed": self.seed,
-            "budget": self.budget.to_dict(),
+            "budget": asdict(self.budget),
         }
 
 
@@ -428,12 +428,20 @@ def _gain(q: float):
     return _fit_terms, lambda c, h2: _clamped(c, h2, q)[1]
 
 
+def correlation(quad: Quadrature, net: RepNet, values) -> float:
+    """|<h, values>| of one net against (N,) node values, as `ascend`
+    rescores it.  A rescored row does not depend on the rows beside it, so
+    a search's witness gets the bits of the search's value."""
+    widths = [net.n] + [layer.d_out for layer in net.layers]
+    row = _row((layer.W, layer.b) for layer in net.layers)
+    return float(_rescore(quad, row[None], widths, values, _CORRELATION)[0])
+
+
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):
     """The start rows, (restarts, P), float64 (`_views`).  Restart i holds
     `seeded_params(..., seed ^ i)`, the warm start restart 0's place.  A
     warm start must have the search architecture exactly."""
-    if warm_start is not None and (warm_start.domain != spec.domain
-                                   or warm_start.widths != (spec.d,) * spec.r):
+    if warm_start is not None and not spec.holds(warm_start):
         raise AdversaryError(f"warm start with hidden widths {warm_start.widths} on "
                              f"{warm_start.domain} does not have the search "
                              f"architecture {spec.arch()} on {spec.domain}")
@@ -450,8 +458,8 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
     target's (N,) node values, on the search subsample from `_starts`, one
     entry per restart, halving the entries after each iteration in `rungs`
     (`_multistart`), score each best iterate by `score` on the full
-    quadrature (`_rescore`), and return the scores (restarts,) and the first
-    best entry's net.
+    quadrature (`_rescore`), and return the search's record: the best
+    score, the first entry that scores it and every entry's score.
 
     The float32 search sees a warm start rounded, so its exact float64 row
     is scored too, as one more row of the same rescore, and, when it scores
@@ -466,8 +474,9 @@ def _search(quad: Quadrature, spec: DictSpec, values, objective, score, budget: 
         scores[0], theta[0] = scores[-1], starts[0]
     scores = scores[:len(theta)]
     e = int(np.argmax(scores))
-    return scores, RepNet(spec.domain, tuple(Layer(W[e], b[e])
-                                             for W, b in zip(*_views(theta, widths))))
+    witness = RepNet(spec.domain, tuple(Layer(W[e], b[e]) for W, b in zip(*_views(theta, widths))))
+    return AdversaryResult(value=float(scores[e]), witness=witness,
+                           per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
 
 
 def ascend(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
@@ -485,10 +494,8 @@ def ascend(quad: Quadrature, spec: DictSpec, values, budget: Budget, seed: int,
     iterate so far, which is rescored with the rest.  Deterministic given
     seed.
     """
-    scores, witness = _search(quad, spec, values, _objective_linear, _CORRELATION, budget, seed,
-                              warm_start, threads, _rungs(budget.iterations) if prune else ())
-    return AdversaryResult(value=float(scores.max()), witness=witness,
-                           per_restart_values=tuple(scores.tolist()), seed=seed, budget=budget)
+    return _search(quad, spec, values, _objective_linear, _CORRELATION, budget, seed,
+                   warm_start, threads, _rungs(budget.iterations) if prune else ())
 
 
 def best_gain_element(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed: int,
@@ -505,7 +512,7 @@ def best_gain_element(quad: Quadrature, spec: DictSpec, residual, budget: Budget
     """
     q = spec.domain.q
     return _search(quad, spec, residual, lambda w, v: _objective_fit(w, v, q), _gain(q),
-                   budget, seed, warm_start, threads)[1]
+                   budget, seed, warm_start, threads).witness
 
 
 def sigma_dr(quad: Quadrature, spec: DictSpec, f: FunctionOracle, g: FunctionOracle,

@@ -59,7 +59,7 @@ def cmd_decompose(args) -> int:
     quad, target, report = run_decompose(cfg, threads=args.threads)
     _write_json(cfg.output.report, {**report.to_dict(), "config_echo": cfg.echo()})
     _write_trace_csv(cfg.output.trace, report)
-    _write_json(cfg.output.witness, report.audit["result"].to_dict())
+    _write_json(cfg.output.witness, report.audit.to_dict())
     print(f"wrote {cfg.output.report}, {cfg.output.trace}, {cfg.output.witness} "
           f"(m'={report.m_prime}/{report.m_budget}, "
           f"residual_l2_sq={report.residual_l2_sq:.6g})")
@@ -90,7 +90,7 @@ def cmd_sweep(args) -> int:
                                                  domain=DomainSpec(n, cfg.domain.q)))
             _, _, report = run_decompose(run, threads=args.threads)
             writer.writerow([n, report.m_prime, _fmt(report.residual_l2_sq),
-                             _fmt(report.audit["result"].value)])
+                             _fmt(report.audit.value)])
             fh.flush()
             print(f"n={n}: m'={report.m_prime}/{report.m_budget}")
     print(f"wrote {args.out}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from clipreg.netcore import ClipregError, DomainSpec, check_seed
 from clipreg.adversary import Budget, DictSpec
@@ -113,7 +113,8 @@ REPORT_SHAPE = _object({
     "budget_exhausted": _BOOL,
     "epsilon": _NUM,
     "trace": _object({"t0": _NUM, "picks": _list(_object(
-        {"t_after": _NUM, "gain": _NUM, "lambda": _NUM, "element": _NET}, closed=False))}),
+        {"k": _INT, "t_after": _NUM, "gain": _NUM, "lambda": _NUM, "element": _NET},
+        closed=False))}),
     "conservative_cert": _CERT,
     "constructive_cert": _CERT,
     "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False),
@@ -158,14 +159,12 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
-            "domain": {"n": self.domain.n, "q": self.domain.q},
+            "domain": asdict(self.domain),
             "dict": {"d": self.dict_spec.d, "r": self.dict_spec.r},
             "epsilon": self.epsilon,
-            "quadrature": {"scheme": self.quadrature.scheme,
-                           "size": self.quadrature.size,
-                           "seed": self.quadrature.seed},
-            "solver": {**self.budget.to_dict(), "seed": self.solver_seed},
-            "target": {"name": self.target.name, "params": dict(self.target.params)},
+            "quadrature": asdict(self.quadrature),
+            "solver": {**asdict(self.budget), "seed": self.solver_seed},
+            "target": asdict(self.target),
             "stage_dict": self.stage_dict,
         }
 

@@ -14,15 +14,15 @@ adversarially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_parallel,
                              net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
-from clipreg.adversary import (Budget, DictSpec, ascend, audit_verdict, best_gain_element, fit,
-                               invisibility_audit)
+from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
+                               best_gain_element, correlation, fit, invisibility_audit)
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
@@ -89,7 +89,7 @@ class DecompositionReport:
     trace: EnergyTrace
     residual_l2_sq: float
     residual_l1: float
-    audit: dict                      # invisibility_audit output
+    audit: AdversaryResult           # the residual audit's search
     constructive_cert: RepCert
     conservative_cert: RepCert       # worst-case bound (2^m' d | r + m')
     budget_exhausted: bool
@@ -106,13 +106,10 @@ class DecompositionReport:
             "trace": self.trace.to_dict(),
             "residual_l2_sq": self.residual_l2_sq,
             "residual_l1": self.residual_l1,
-            "constructive_cert": {"d": self.constructive_cert.d, "r": self.constructive_cert.r},
-            "conservative_cert": {"d": self.conservative_cert.d, "r": self.conservative_cert.r},
-            "audit": {
-                "invisible_up_to_budget": self.audit["invisible_up_to_budget"],
-                "note": self.audit["note"],
-                "result": self.audit["result"].to_dict(),
-            },
+            "constructive_cert": asdict(self.constructive_cert),
+            "conservative_cert": asdict(self.conservative_cert),
+            "audit": {**audit_verdict(self.audit.value, self.epsilon),
+                      "result": self.audit.to_dict()},
             "g": net_to_dict(self.g),
         }
 
@@ -189,7 +186,7 @@ def decompose(quad: Quadrature, spec: DictSpec, f: FunctionOracle, epsilon: floa
         quad, fvals, [p.element for p in picks], [p.lam for p in picks], spec.domain)
     audit = invisibility_audit(
         quad, spec, oracle_from_values(quad, diff, "f-g"), epsilon,
-        budget, seed + _AUDIT_SEED_OFFSET, threads=threads)
+        budget, seed + _AUDIT_SEED_OFFSET, threads=threads)["result"]
     return DecompositionReport(
         g=g,
         epsilon=epsilon,
@@ -235,14 +232,15 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     g is rebuilt from the stored picks as `decompose` builds it and must be
     the stored g (g_from_picks).  Each field that `decompose` derives is
     derived again by the same definition and checked under its JSON path
-    (trace.t0, residual_l1, m_prime, conservative_cert, audit.note, ...).
+    (trace.t0, residual_l1, m_prime, trace.picks.k, audit.result.value from
+    the stored witness, audit.note, ...).
     The other checks: stage_bound, trace_monotone, gains_exceed_eps_sq,
     trace_t0 (t0 <= 1), cert_dominance, cert_constructive, audit_threshold.
 
     A field of the right JSON type but out of range (a net, pick or
-    certificate that cannot be built, or g on another dimension than the
-    quadrature or in another weight box than [-q, q]) raises DecomposeError
-    naming the field."""
+    certificate that cannot be built, g on another dimension than the
+    quadrature or in another weight box than [-q, q], or an audit witness
+    not of the dictionary) raises DecomposeError naming the field."""
     q, m_budget = spec.domain.q, m_budget_for(epsilon)
 
     if report["g"]["n"] != quad.n:
@@ -251,29 +249,35 @@ def certify_split(report: dict, quad: Quadrature, f: FunctionOracle, epsilon: fl
     if report["g"]["q"] != q:
         raise DecomposeError(f"net weight box q={report['g']['q']} != configured q={q}", "g.q")
     g = _built("g", net_from_dict, report["g"])
+    picks, audit = report["trace"]["picks"], report["audit"]["result"]
     # the fields that are re-derived, by JSON path; the certificates built
     stated = {**report, "trace.t0": report["trace"]["t0"],
+              "trace.picks.k": [p["k"] for p in picks], "audit.result.value": audit["value"],
               **{f"audit.{key}": v for key, v in report["audit"].items()},
               **{name: _built(name, RepCert, **report[name])
                  for name in ("constructive_cert", "conservative_cert")}}
-    picks = report["trace"]["picks"]
     elements = [_built(f"trace.picks[{i}].element", net_from_dict, p["element"])
                 for i, p in enumerate(picks)]
+    witness = _built("audit.result.witness", net_from_dict, audit["witness"])
+    if not spec.holds(witness):
+        raise DecomposeError(f"audit witness of hidden widths {witness.widths} on {witness.domain}"
+                             f" is not in the dictionary {spec}", "audit.result.witness")
     fvals = f.values(quad)
-    rebuilt, _, residual_l2_sq, residual_l1 = _built(
+    rebuilt, diff, residual_l2_sq, residual_l1 = _built(
         "trace.picks", _assemble, quad, fvals, elements, [p["lambda"] for p in picks],
         spec.domain)
     checks = [("g_from_picks", net_to_dict(rebuilt) == report["g"],
                "g is the composition of the stored picks with their lambdas")]
 
-    # node sums in a fixed order, but of values from eval_batch, whose BLAS
-    # products another machine's kernels may round otherwise
+    # node sums in a fixed order, but of net values from BLAS products,
+    # which another machine's kernels may round otherwise
     for path, got in (("trace.t0", quad.integral(fvals * fvals)),
-                      ("residual_l2_sq", residual_l2_sq), ("residual_l1", residual_l1)):
+                      ("residual_l2_sq", residual_l2_sq), ("residual_l1", residual_l1),
+                      ("audit.result.value", correlation(quad, witness, diff))):
         checks.append((path, abs(got - stated[path]) <= 1e-10,
                        f"recomputed {got} vs reported {stated[path]}"))
-    audit = report["audit"]["result"]
     derived = {"epsilon": epsilon, **_bookkeeping(len(picks), m_budget, spec, rebuilt),
+               "trace.picks.k": list(range(1, len(picks) + 1)),
                **{f"audit.{key}": v for key, v in audit_verdict(audit["value"], epsilon).items()}}
     for path, want in derived.items():
         checks.append((path, stated[path] == want,

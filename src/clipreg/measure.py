@@ -49,7 +49,8 @@ class Quadrature:
             raise MeasureError("weights must be positive")
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise MeasureError("weights must sum to 1 (probability measure)")
-        if not np.all(np.abs(nodes) <= 1.0 + 1e-12):
+        # min and max copy nothing, as np.abs would; the empty (N, 0) nodes pass
+        if not (nodes.min(initial=0.0) >= -1.0 - 1e-12 and nodes.max(initial=0.0) <= 1.0 + 1e-12):
             raise MeasureError("nodes must lie inside the hypercube")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -141,7 +142,7 @@ def _sobol_directions(n: int) -> np.ndarray:
 def _sobol(n: int, size: int, seed: int) -> np.ndarray:
     """The first `size` points of scipy's `qmc.Sobol(d=n, scramble=True,
     seed=seed)`, bit for bit: Matousek's LMS scramble plus a digital shift,
-    drawn in scipy's order, and the points in Gray-code order."""
+    drawn in scipy's order, and the points in Gray-code order, C-ordered."""
     rng = np.random.default_rng(seed)
     pow2 = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
     shift = rng.integers(0, 2, (n, _SOBOL_BITS), dtype=np.uint32) @ pow2
@@ -159,7 +160,7 @@ def _sobol(n: int, size: int, seed: int) -> np.ndarray:
         c = min(m, size - m)
         np.bitwise_xor(Y[:, m - 1::-1][:, :c], v[:, k, None], out=Y[:, m:m + c])
     Y ^= shift[:, None]
-    return Y.T * 2.0 ** -_SOBOL_BITS
+    return np.multiply(Y.T, 2.0 ** -_SOBOL_BITS, order="C")
 
 
 def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) -> Quadrature:
@@ -204,7 +205,9 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
         wts = wts / wts.sum()
         return Quadrature(nodes, wts, scheme_id="tensor-grid", seed=seed)
     if scheme == "low-discrepancy":
-        nodes = 2.0 * _sobol(spec.n, size, seed) - 1.0
+        # in place, so the Quadrature keeps this one array: 2x - 1 is exact
+        nodes = _sobol(spec.n, size, seed)
+        np.subtract(np.multiply(nodes, 2.0, out=nodes), 1.0, out=nodes)
         return Quadrature(nodes, np.full(size, 1.0 / size), "low-discrepancy", seed)
     rng = np.random.default_rng(seed)
     nodes = rng.uniform(-1.0, 1.0, size=(size, spec.n))

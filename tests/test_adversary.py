@@ -32,6 +32,7 @@ from clipreg.adversary import (
     _views,
     ascend,
     best_gain_element,
+    correlation,
     fit,
     invisibility_audit,
     sigma_dr,
@@ -94,6 +95,14 @@ class TestAscend:
         res = ascend(quad2, DictSpec(2, 1, dom2), f.values(quad2), SMALL, seed=3)
         assert res.value == pytest.approx(
             abs(inner(quad2, oracle_from_net(res.witness), f)), abs=1e-12)
+
+    @pytest.mark.parametrize("d, r, size", [(2, 1, 2048), (1, 0, 5000), (4, 2, 5000)])
+    def test_correlation_gives_the_witness_its_value(self, dom2, d, r, size):
+        # the witness's row rescored alone has its bits in the search's rescore
+        quad = build_quadrature(dom2, "low-discrepancy", size, seed=3)
+        values = np.sign(quad.nodes[:, 0] * quad.nodes[:, 1])
+        res = ascend(quad, DictSpec(d, r, dom2), values, Budget(8, 30), seed=d)
+        assert correlation(quad, res.witness, values) == res.value
 
     def test_per_restart_bounded_by_value(self, dom2, quad2):
         f = FunctionOracle(lambda X: X[:, 0] ** 2 - 0.5, "par")

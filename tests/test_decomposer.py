@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipreg import decomposer
-from clipreg.adversary import Budget, DictSpec, ascend, best_gain_element
+from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
+                               best_gain_element)
 from clipreg.decomposer import (
     _STAGE_SEED_STRIDE,
     DecomposeError,
@@ -291,6 +292,13 @@ class TestReportRoundTrip:
         _, _, _, report = run_step
         assert report.to_dict()["schema_version"] == 1
 
+    def test_audit_is_the_search_result(self, run_step):
+        # the verdict is derived from the stored value, as certify_split derives it
+        _, _, _, report = run_step
+        assert isinstance(report.audit, AdversaryResult)
+        assert report.to_dict()["audit"] == {**audit_verdict(report.audit.value, EPS),
+                                             "result": report.audit.to_dict()}
+
 
 def _check(verdict, name):
     return next(c for c in verdict["details"] if c["check"] == name)
@@ -341,18 +349,22 @@ class TestCertifySplit:
         ("residual_l1", 0.0, "residual_l1"),
         ("audit.invisible_up_to_budget", False, "audit.invisible_up_to_budget"),
         ("audit.note", "witness exceeds threshold", "audit.note"),
+        ("audit.result.value", 0.0, "audit.result.value"),
+        ("audit.result.witness.layers.0.0.b", lambda b: b / 2.0, "audit.result.value"),
+        ("trace.picks.0.k", 5, "trace.picks.k"),
         ("trace.t0", lambda t0: t0 * 0.9, "trace.t0"),
         # still dominated by the conservative certificate and satisfied by g
         ("constructive_cert", lambda c: {**c, "d": c["d"] + 1}, "constructive_cert"),
     ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted", "residual-l1",
-            "audit-flag", "audit-note", "t0", "constructive-cert"])
+            "audit-flag", "audit-note", "audit-value-zero", "witness-bias-halved", "pick-k",
+            "t0", "constructive-cert"])
     def test_flags_report_not_of_the_config(self, run_step, field, value, check):
-        # `field` is a dotted path into the report; a callable `value` maps
-        # the field's value to the tampered one
+        # `field` is a dotted path into the report, a number indexing a list;
+        # a callable `value` maps the field's value to the tampered one
         _, _, _, report = run_step
         assert _check(_certify(report.to_dict(), run_step), check)["ok"]
         broken = report.to_dict()
-        *path, key = field.split(".")
+        *path, key = (int(name) if name.isdecimal() else name for name in field.split("."))
         parent = broken
         for name in path:
             parent = parent[name]

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -60,6 +61,18 @@ class TestBuildQuadrature:
         for scheme in ("tensor-grid", "low-discrepancy", "seeded-uniform"):
             q = build_quadrature(dom2, scheme, 64, seed=2)
             assert np.max(np.abs(q.nodes)) <= 1.0 + 1e-12
+
+    def test_sobol_build_holds_one_node_array(self):
+        # the points are written C-ordered and mapped to [-1, 1) in place, so
+        # beside the nodes the build holds only the uint32 points, half their size
+        measure._sobol_directions(64)  # the cached direction numbers are not the build's
+        tracemalloc.start()
+        try:
+            quad = build_quadrature(DomainSpec(64, 1.0), "low-discrepancy", 2 ** 14, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * quad.nodes.nbytes
 
     @pytest.mark.parametrize("n, scheme, size", [
         (1, "tensor-grid", 100_000),           # the size x size companion matrix

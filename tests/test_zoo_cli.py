@@ -369,9 +369,9 @@ class TestCliVerify:
         (shaped(budget_exhausted=0), "'budget_exhausted'"),
         (shaped(epsilon=math.nan), "'epsilon'"),
         (shaped(trace={"t0": 0.0, "picks": {}}), "'trace.picks'"),
-        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": "big"}]}),
+        (shaped(trace={"t0": 0.0, "picks": [{"k": 1, "t_after": 0.0, "gain": "big"}]}),
          "'trace.picks[0].gain'"),
-        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": 0.5, "lambda": "x",
+        (shaped(trace={"t0": 0.0, "picks": [{"k": 1, "t_after": 0.0, "gain": 0.5, "lambda": "x",
                                              "element": NET}]}), "'trace.picks[0].lambda'"),
         (shaped(constructive_cert={"d": 1}), "'constructive_cert.r'"),
         (shaped(audit={"result": {"value": None, "witness": NET}}), "'audit.result.value'"),
@@ -385,15 +385,17 @@ class TestCliVerify:
         (shaped(g={**NET, "layers": [[{"w": [0.0, 0.0], "b": 0.0}, {"w": [0.0], "b": 0.0}],
                                      [{"w": [0.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
         (shaped(g={**NET, "q": 5.0, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.q'"),
-        (shaped(trace={"t0": 0.0, "picks": [{"t_after": 0.0, "gain": 0.5, "lambda": 1.0,
+        (shaped(trace={"t0": 0.0, "picks": [{"k": 1, "t_after": 0.0, "gain": 0.5, "lambda": 1.0,
                                              "element": {**NET, "layers": [[{"w": [5.0, 0.0],
                                                                             "b": 0.0}]]}}]}),
          "'trace.picks[0].element.layers'"),
+        # NET has no hidden layer, and the config's dictionary is (2|1)
+        (shaped(), "'audit.result.witness'"),
     ], ids=["empty", "no-g", "bad-json", "list", "g-list", "layers-string", "unit-w-string",
             "m-prime-bool", "exhausted-int", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
             "l1-string", "invisible-int", "note-null",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
-            "g-q-mismatch", "element-weight-outside-q"])
+            "g-q-mismatch", "element-weight-outside-q", "witness-not-of-the-dictionary"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
         report_path = tmp_path / "report.json"
         report_path.write_text(text)
