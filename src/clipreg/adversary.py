@@ -382,24 +382,37 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
     return np.clip(out, -bound, bound, out=out)
 
 
-def _forward_blocks(X, Ws, bs):
+def _forward_blocks(XT, Ws, bs):
     """Full-quadrature forward pass for a stack of parameter sets at the
-    nodes X (N, n), in the blocks of `measure.node_blocks`: yields (nodes,
-    h) per block, the block's slice of the N nodes and h (E, block) the
-    outputs there, in scratch that the next block overwrites.
+    nodes XT, a C-ordered (n, N) array, in the blocks of
+    `measure.node_blocks`: yields (nodes, h) per block, the block's slice of
+    the N nodes and h (E, block) the outputs there, in scratch that the next
+    block overwrites.
 
-    Each block runs on a contiguous (n, block) copy of its rows of X; a
-    node's value does not depend on the other nodes of its block, so the
-    bits are those of one pass over all N.  Each layer clips in place and
-    reads only the layer before it, so two block-sized buffers take turns:
-    even layers use one, odd layers the other.
+    Each block runs on its column slice of XT, which BLAS reads in place,
+    so no node is copied.  Each layer clips in place and reads only the
+    layer before it, so two block-sized buffers take turns: even layers use
+    one, odd layers the other.
     """
-    E, widths, blocks = len(bs[0]), [b.shape[1] for b in bs], node_blocks(len(X))
+    E, widths, blocks = len(bs[0]), [b.shape[1] for b in bs], node_blocks(XT.shape[1])
     pair = [np.empty(E * max(widths[k::2], default=0) * blocks[0].stop) for k in (0, 1)]
     for nodes in blocks:
-        XT = np.ascontiguousarray(X[nodes].T)
-        bufs = [pair[l % 2][:E * w * XT.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
-        yield nodes, _forward(XT, Ws, bs, bufs, bufs)
+        cols = XT[:, nodes]
+        bufs = [pair[l % 2][:E * w * cols.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
+        yield nodes, _forward(cols, Ws, bs, bufs, bufs)
+
+
+def net_values(quad: Quadrature, net: RepNet) -> np.ndarray:
+    """The float64 values (N,) of `net` at the quadrature's nodes, by
+    `_forward_blocks`, the pass of every rescore: a net has the same values
+    here as a row of any search's rescore.  `RepNet.eval_batch` evaluates
+    at arbitrary points instead."""
+    widths = [net.n] + [layer.d_out for layer in net.layers]
+    Ws, bs = _views(_row((layer.W, layer.b) for layer in net.layers)[None], widths)
+    out = np.empty(quad.size)
+    for nodes, h in _forward_blocks(quad.XT, Ws, bs):
+        out[nodes] = h[0]
+    return out
 
 
 def _rescore(quad: Quadrature, theta, widths, values, score):
@@ -416,7 +429,7 @@ def _rescore(quad: Quadrature, theta, widths, values, score):
     terms, finish = score
     return finish(*block_total([
         [np.add.reduce(t, axis=-1) for t in terms(h, quad.weights[nodes], values[nodes])]
-        for nodes, h in _forward_blocks(quad.nodes, *_views(theta, widths))]))
+        for nodes, h in _forward_blocks(quad.XT, *_views(theta, widths))]))
 
 
 # `_rescore`'s scores: the correlation |<h, values>| of `ascend`, and `fit`'s
@@ -432,9 +445,7 @@ def correlation(quad: Quadrature, net: RepNet, values) -> float:
     """|<h, values>| of one net against (N,) node values, as `ascend`
     rescores it.  A rescored row does not depend on the rows beside it, so
     a search's witness gets the bits of the search's value."""
-    widths = [net.n] + [layer.d_out for layer in net.layers]
-    row = _row((layer.W, layer.b) for layer in net.layers)
-    return float(_rescore(quad, row[None], widths, values, _CORRELATION)[0])
+    return float(np.abs(node_sum(net_values(quad, net) * (quad.weights * values))))
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):

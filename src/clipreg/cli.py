@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -163,6 +164,7 @@ _THREADS_HELP = (f"threads for each correlation or gain search, the calling thre
                  f"survive its halvings)")
 
 
+@functools.cache  # one parser serves every `main` call of a process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clipreg",

@@ -22,7 +22,7 @@ from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_pa
                              net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
-                               best_gain_element, correlation, fit, invisibility_audit)
+                               best_gain_element, correlation, fit, invisibility_audit, net_values)
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
@@ -118,7 +118,7 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed
                 threads: int = 1):
     """Best single dictionary step against the residual's (N,) node values.
 
-    Returns (element, its values at the nodes, lambda, gain).  The
+    Returns (element, its values at the nodes by `net_values`, lambda, gain).  The
     correlation search (`adversary.ascend` with successive halving of its
     restarts) finds the element best correlated with the residual; the
     polish climbs the clamped gain from it and fresh starts, every restart
@@ -134,7 +134,7 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed
     polish_budget = replace(budget, restarts=max(8, budget.restarts // 4))
     element = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
                                 threads=threads, warm_start=res.witness)
-    hv = element.eval_batch(quad.nodes)
+    hv = net_values(quad, element)
     lam, gain = fit(hv, quad.weights, residual, spec.domain.q)
     return element, hv, float(lam), float(gain)
 
@@ -203,7 +203,7 @@ def _assemble(quad: Quadrature, fvals, elements, lams, domain):
     """g, the elements composed with their coefficients (the zero net
     without any), and f - g's node values, squared L2 norm and L1 norm."""
     g = compose_parallel(elements, lams, domain) if elements else zero_net(domain)
-    diff = fvals - g.eval_batch(quad.nodes)
+    diff = fvals - net_values(quad, g)
     return g, diff, quad.integral(diff * diff), quad.integral(np.abs(diff))
 
 

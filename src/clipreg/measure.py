@@ -34,15 +34,16 @@ class MeasureError(ClipregError):
 
 @dataclass(frozen=True)
 class Quadrature:
-    nodes: np.ndarray  # (N, n), inside [-1,1]^n
+    nodes: np.ndarray  # (N, n), inside [-1,1]^n: the transposed view of `XT`
     weights: np.ndarray  # (N,), positive, sums to 1
     scheme_id: str
     seed: int
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64))
+        # held once, as one C-ordered (n, N) array: nodes that view one are not copied
+        XT = np.ascontiguousarray(np.asarray(self.nodes, dtype=np.float64).T)
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
+        if XT.ndim != 2 or weights.shape != (XT.shape[1],):
             raise MeasureError("nodes must be (N, n) with matching weights (N,)")
         # written so that NaN fails each check, as it fails every comparison
         if not np.all(weights > 0):
@@ -50,12 +51,17 @@ class Quadrature:
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise MeasureError("weights must sum to 1 (probability measure)")
         # min and max copy nothing, as np.abs would; the empty (N, 0) nodes pass
-        if not (nodes.min(initial=0.0) >= -1.0 - 1e-12 and nodes.max(initial=0.0) <= 1.0 + 1e-12):
+        if not (XT.min(initial=0.0) >= -1.0 - 1e-12 and XT.max(initial=0.0) <= 1.0 + 1e-12):
             raise MeasureError("nodes must lie inside the hypercube")
-        nodes.setflags(write=False)
+        XT.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", XT.T)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def XT(self) -> np.ndarray:
+        """The nodes as the one C-ordered (n, N) array that `nodes` views."""
+        return self.nodes.T
 
     @property
     def n(self) -> int:
@@ -96,9 +102,14 @@ def block_total(parts):
 
 def node_sum(values):
     """The sum over the last axis, the nodes, of `values` (..., N), in
-    `block_total`'s fixed order."""
+    `block_total`'s fixed order: the full blocks reduce as one reshape, the
+    short last block on its own."""
     v = np.ascontiguousarray(values)  # a reduce over a strided axis adds in another order
-    return block_total([np.add.reduce(v[..., nodes], axis=-1) for nodes in node_blocks(v.shape[-1])])
+    full = v.shape[-1] - v.shape[-1] % NODE_BLOCK
+    parts = [np.add.reduce(v[..., :full].reshape(*v.shape[:-1], -1, NODE_BLOCK), axis=-1)]
+    if full < v.shape[-1]:
+        parts.append(np.add.reduce(v[..., full:], axis=-1, keepdims=True))
+    return np.add.reduce(np.concatenate(parts, axis=-1), axis=-1)
 
 
 def _table_rows(member: str, n: int, columns: int = 1) -> np.ndarray:
@@ -142,7 +153,7 @@ def _sobol_directions(n: int) -> np.ndarray:
 def _sobol(n: int, size: int, seed: int) -> np.ndarray:
     """The first `size` points of scipy's `qmc.Sobol(d=n, scramble=True,
     seed=seed)`, bit for bit: Matousek's LMS scramble plus a digital shift,
-    drawn in scipy's order, and the points in Gray-code order, C-ordered."""
+    drawn in scipy's order, and the points in Gray-code order as columns, (n, size)."""
     rng = np.random.default_rng(seed)
     pow2 = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
     shift = rng.integers(0, 2, (n, _SOBOL_BITS), dtype=np.uint32) @ pow2
@@ -160,7 +171,7 @@ def _sobol(n: int, size: int, seed: int) -> np.ndarray:
         c = min(m, size - m)
         np.bitwise_xor(Y[:, m - 1::-1][:, :c], v[:, k, None], out=Y[:, m:m + c])
     Y ^= shift[:, None]
-    return np.multiply(Y.T, 2.0 ** -_SOBOL_BITS, order="C")
+    return np.multiply(Y, 2.0 ** -_SOBOL_BITS)
 
 
 def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) -> Quadrature:
@@ -198,7 +209,7 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
         x, w = np.polynomial.legendre.leggauss(size)
         w = w / 2.0  # normalize per axis: weights on [-1,1] sum to 2
         axes = np.meshgrid(*([x] * spec.n), indexing="ij")
-        nodes = np.stack([a.ravel() for a in axes], axis=1)
+        nodes = np.stack([a.ravel() for a in axes]).T
         wts = np.ones(size ** spec.n)
         for a in np.meshgrid(*([w] * spec.n), indexing="ij"):
             wts = wts * a.ravel()
@@ -206,9 +217,9 @@ def build_quadrature(spec: DomainSpec, scheme: str, size: int, seed: int = 0) ->
         return Quadrature(nodes, wts, scheme_id="tensor-grid", seed=seed)
     if scheme == "low-discrepancy":
         # in place, so the Quadrature keeps this one array: 2x - 1 is exact
-        nodes = _sobol(spec.n, size, seed)
-        np.subtract(np.multiply(nodes, 2.0, out=nodes), 1.0, out=nodes)
-        return Quadrature(nodes, np.full(size, 1.0 / size), "low-discrepancy", seed)
+        XT = _sobol(spec.n, size, seed)
+        np.subtract(np.multiply(XT, 2.0, out=XT), 1.0, out=XT)
+        return Quadrature(XT.T, np.full(size, 1.0 / size), "low-discrepancy", seed)
     rng = np.random.default_rng(seed)
     nodes = rng.uniform(-1.0, 1.0, size=(size, spec.n))
     return Quadrature(nodes, np.full(size, 1.0 / size), "seeded-uniform", seed)

@@ -35,11 +35,13 @@ from clipreg.adversary import (
     correlation,
     fit,
     invisibility_audit,
+    net_values,
     sigma_dr,
 )
 from clipreg.measure import (
     NODE_BLOCK,
     FunctionOracle,
+    Quadrature,
     build_quadrature,
     inner,
     l2_norm_sq,
@@ -80,6 +82,32 @@ class TestCorrelation:
     def test_sign_flip(self, dom1, quad1):
         net = RepNet(dom1, (Layer(np.zeros((1, 1)), np.array([1.0])),))
         assert inner(quad1, oracle_from_net(net), const_oracle(-1)) == pytest.approx(-1.0)
+
+
+class TestNetValues:
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_values_do_not_depend_on_the_node_count(self, n):
+        # a node's value is the same on a quadrature of 2^14 + 77 nodes and
+        # on one of its last 461 nodes alone, whose blocks start elsewhere;
+        # at n >= 256 BLAS may round a node otherwise in a block of another
+        # width, so the property is stated only here
+        dom = DomainSpec(n, 1.0)
+        quad = build_quadrature(dom, "low-discrepancy", 2 ** 14 + 77, seed=3)
+        tail = quad.nodes[16000:]
+        tail_quad = Quadrature(tail, np.full(len(tail), 1.0 / len(tail)), "tail", 0)
+        for d, r in [(2, 1), (4, 2), (16, 1)]:
+            net = planted_net(dom, d, r, seed=d + r)
+            assert np.array_equal(net_values(quad, net)[16000:], net_values(tail_quad, net)), \
+                (d, r)
+
+    @pytest.mark.parametrize("widths", [[2, 1], [2, 2, 1], [2, 4, 4, 1]], ids=str)
+    def test_values_agree_with_eval_batch(self, dom2, widths):
+        rng = np.random.default_rng(len(widths))
+        quad = build_quadrature(dom2, "seeded-uniform", 2 * NODE_BLOCK + 77, seed=4)
+        Ws, bs = random_stack(rng, widths, 1)
+        net = RepNet(dom2, tuple(Layer(W[0], b[0]) for W, b in zip(Ws, bs)))
+        np.testing.assert_allclose(net_values(quad, net), net.eval_batch(quad.nodes),
+                                   rtol=0, atol=1e-12)
 
 
 class TestAscend:
@@ -565,13 +593,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
     def test_forward_all_gives_the_strided_bits(self, widths):
-        # the float64 rescore runs the forward pass alone, on a contiguous
-        # copy of each node block of the full quadrature
+        # the float64 rescore runs the forward pass alone, on the column
+        # slice of each node block of the full quadrature's (n, N) nodes
         rng = np.random.default_rng(sum(widths))
         X = rng.uniform(-1.0, 1.0, (4096, widths[0]))
         Ws, bs = random_stack(rng, widths, 64)
         h_ref = strided_step(X, Ws, bs, np.zeros((64, len(X))))[0]
-        assert_blocks_equal(_forward_blocks(X, Ws, bs), h_ref)
+        assert_blocks_equal(_forward_blocks(np.ascontiguousarray(X.T), Ws, bs), h_ref)
 
     @pytest.mark.parametrize("N", [2 * NODE_BLOCK + 77, NODE_BLOCK // 2 + 3])
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
@@ -582,7 +610,7 @@ class TestKernel:
         X = rng.uniform(-1.0, 1.0, (N, widths[0]))
         Ws, bs = random_stack(rng, widths, 16)
         h_ref = strided_step(X, Ws, bs, np.zeros((16, N)))[0]
-        assert_blocks_equal(_forward_blocks(X, Ws, bs), h_ref)
+        assert_blocks_equal(_forward_blocks(np.ascontiguousarray(X.T), Ws, bs), h_ref)
 
     @pytest.mark.parametrize("N", [2 * NODE_BLOCK + 77, NODE_BLOCK // 2 + 3])
     @pytest.mark.parametrize("widths", WIDTHS, ids=str)
@@ -750,7 +778,7 @@ class TestKernel:
         dom = DomainSpec(widths[0], 1.0)
         nets = [RepNet(dom, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs))) for e in range(5)]
         ref = np.stack([net.eval_batch(X) for net in nets])
-        for nodes, h in _forward_blocks(X, Ws, bs):
+        for nodes, h in _forward_blocks(np.ascontiguousarray(X.T), Ws, bs):
             np.testing.assert_allclose(h, ref[:, nodes], rtol=0, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clipreg import decomposer
 from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
-                               best_gain_element)
+                               best_gain_element, net_values)
 from clipreg.decomposer import (
     _STAGE_SEED_STRIDE,
     DecomposeError,
@@ -78,11 +78,12 @@ class TestMBudget:
 class TestStageSolve:
     # the growing dictionary's stage specs at k = 2, 3 from (2|1)
     @pytest.mark.parametrize("d, r", [(4, 2), (8, 3)])
-    def test_values_are_eval_batch_bits(self, dom2, quad2, d, r):
+    def test_values_are_net_values_bits(self, dom2, quad2, d, r):
         f = zoo("sign-product", {}, dom2)
         element, values, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f.values(quad2),
                                             Budget(8, 30), seed=d)
-        assert np.array_equal(values, element.eval_batch(quad2.nodes))
+        assert np.array_equal(values, net_values(quad2, element))
+        np.testing.assert_allclose(values, element.eval_batch(quad2.nodes), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_element_is_polish_winner(self, dom2, quad2, seed):

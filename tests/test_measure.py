@@ -10,12 +10,16 @@ import pytest
 import clipreg
 from clipreg import measure
 from clipreg.measure import (
+    NODE_BLOCK,
     FunctionOracle,
     MeasureError,
     Quadrature,
+    block_total,
     build_quadrature,
     inner,
     l2_norm_sq,
+    node_blocks,
+    node_sum,
     oracle_from_values,
     sigma_l1,
 )
@@ -136,6 +140,21 @@ class TestSobol:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out.strip() == "[]"
+
+
+class TestNodeSum:
+    @pytest.mark.parametrize("N", [2 ** 14, 2 * NODE_BLOCK + 77, 1000])
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["row", "stack"])
+    def test_has_the_per_block_bits(self, N, shape):
+        # one reshape-reduce of the full blocks adds as block_total does
+        # over the partials of each block in turn, for a row and for each
+        # row of an (E, N) stack
+        values = np.random.default_rng(N).uniform(-1.0, 1.0, (*shape, N))
+        per_block = block_total([np.add.reduce(values[..., nodes], axis=-1)
+                                 for nodes in node_blocks(N)])
+        assert np.array_equal(node_sum(values), per_block)
+        for row, want in zip(values.reshape(-1, N), np.ravel(per_block)):
+            assert node_sum(row) == want
 
 
 class TestInner:
