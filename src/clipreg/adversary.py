@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from clipreg.netcore import ClipregError, DomainSpec, Layer, RepNet, net_to_dict, seeded_params
-from clipreg.measure import FunctionOracle, Quadrature, block_total, node_blocks, node_sum
+from clipreg.netcore import (ClipregError, DomainSpec, Layer, RepNet, _forward, _forward_blocks,
+                             net_to_dict, seeded_params)
+from clipreg.measure import FunctionOracle, Quadrature, block_total, node_sum
 
 # Restarts run in chunks of this fixed size, so the result bytes are the same
 # for any worker count, and threads split only searches of more restarts.
@@ -180,31 +181,9 @@ def _box(spec: DictSpec):
                 for d_in, d_out in zip(widths, widths[1:]))
 
 
-def _forward(XT, Ws, bs, Zs, As, masks=None):
-    """Forward pass of B stacked nets at the nodes XT, a contiguous (n, N)
-    matrix, for the search and the rescore alike; activations are unit-major.
-
-    Ws[l]: (B, out, in); bs[l]: (B, out), as `_views` gives.  Writes layer
-    l's pre-activation into Zs[l] and its clipped output into As[l], both
-    (B, out, N), and, when `masks` is given, the clip masks Zs[l] == As[l]
-    into masks[l] for `_backward`.  Zs[l] may be As[l] (an in-place clip) or
-    a view of one scratch that every layer overwrites.  Returns h =
-    As[-1][:, 0], (B, N)."""
-    A = XT
-    for l, (W, b, Z, A_out) in enumerate(zip(Ws, bs, Zs, As)):
-        np.matmul(W, A, out=Z)
-        Z += b[:, :, None]
-        A = np.clip(Z, -1.0, 1.0, out=A_out)
-        if masks is not None:
-            # Z == A exactly where the clip is inactive, kinks included;
-            # the subgradient there is 1 (the interior value), 0 outside
-            np.equal(Z, A, out=masks[l])
-    return A[:, 0]
-
-
 def _backward(XT, Ws, As, masks, Gc, gWs, gbs):
     """Backpropagate dJ/dh = Gc, (B, N), or one (1, N) row for every entry,
-    through the pass `_forward` left in As and masks from the nodes XT (n,
+    through the pass `netcore._forward` left in As and masks from the nodes XT (n,
     N), writing dJ/dW into gWs and dJ/db into gbs.  Layer l's dJ/dZ
     overwrites As[l], last read by layer l + 1's dW (As[-1], h, by the
     objective that gave Gc)."""
@@ -284,7 +263,7 @@ def _ascend_chunk(XT, objective, theta, best, bufs, widths, box, budget: Budget,
 # seeded random subset of the quadrature (`_search_sample`); every reported
 # quantity (correlations, gains, audit values) is recomputed on the full
 # shared quadrature, so the exact inequalities are unaffected.  The rescore
-# runs in the node blocks of `measure`, so its scratch does not grow with
+# runs in the node blocks of `netcore`, so its scratch does not grow with
 # the quadrature.
 _SEARCH_NODES = 2048
 
@@ -382,39 +361,6 @@ def _multistart(X, spec: DictSpec, starts, objective, budget: Budget, threads: i
     return np.clip(out, -bound, bound, out=out)
 
 
-def _forward_blocks(XT, Ws, bs):
-    """Full-quadrature forward pass for a stack of parameter sets at the
-    nodes XT, a C-ordered (n, N) array, in the blocks of
-    `measure.node_blocks`: yields (nodes, h) per block, the block's slice of
-    the N nodes and h (E, block) the outputs there, in scratch that the next
-    block overwrites.
-
-    Each block runs on its column slice of XT, which BLAS reads in place,
-    so no node is copied.  Each layer clips in place and reads only the
-    layer before it, so two block-sized buffers take turns: even layers use
-    one, odd layers the other.
-    """
-    E, widths, blocks = len(bs[0]), [b.shape[1] for b in bs], node_blocks(XT.shape[1])
-    pair = [np.empty(E * max(widths[k::2], default=0) * blocks[0].stop) for k in (0, 1)]
-    for nodes in blocks:
-        cols = XT[:, nodes]
-        bufs = [pair[l % 2][:E * w * cols.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
-        yield nodes, _forward(cols, Ws, bs, bufs, bufs)
-
-
-def net_values(quad: Quadrature, net: RepNet) -> np.ndarray:
-    """The float64 values (N,) of `net` at the quadrature's nodes, by
-    `_forward_blocks`, the pass of every rescore: a net has the same values
-    here as a row of any search's rescore.  `RepNet.eval_batch` evaluates
-    at arbitrary points instead."""
-    widths = [net.n] + [layer.d_out for layer in net.layers]
-    Ws, bs = _views(_row((layer.W, layer.b) for layer in net.layers)[None], widths)
-    out = np.empty(quad.size)
-    for nodes, h in _forward_blocks(quad.XT, Ws, bs):
-        out[nodes] = h[0]
-    return out
-
-
 def _rescore(quad: Quadrature, theta, widths, values, score):
     """The float64 scores (E,) of the parameter rows theta (E, P) against
     the target's (N,) node values on the full quadrature.
@@ -445,7 +391,7 @@ def correlation(quad: Quadrature, net: RepNet, values) -> float:
     """|<h, values>| of one net against (N,) node values, as `ascend`
     rescores it.  A rescored row does not depend on the rows beside it, so
     a search's witness gets the bits of the search's value."""
-    return float(np.abs(node_sum(net_values(quad, net) * (quad.weights * values))))
+    return float(np.abs(node_sum(net.eval_batch(quad.nodes) * (quad.weights * values))))
 
 
 def _starts(spec: DictSpec, budget: Budget, seed: int, warm_start: RepNet | None):

@@ -22,7 +22,7 @@ from clipreg.netcore import (ClipregError, NetError, RepCert, RepNet, compose_pa
                              net_from_dict, net_to_dict, zero_net)
 from clipreg.measure import FunctionOracle, Quadrature, oracle_from_values
 from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
-                               best_gain_element, correlation, fit, invisibility_audit, net_values)
+                               best_gain_element, correlation, fit, invisibility_audit)
 
 _STAGE_SEED_STRIDE = 7919
 _AUDIT_SEED_OFFSET = 104729
@@ -118,14 +118,15 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed
                 threads: int = 1):
     """Best single dictionary step against the residual's (N,) node values.
 
-    Returns (element, its values at the nodes by `net_values`, lambda, gain).  The
-    correlation search (`adversary.ascend` with successive halving of its
-    restarts) finds the element best correlated with the residual; the
-    polish climbs the clamped gain from it and fresh starts, every restart
-    to the end, ranks its candidates, the correlation witness among them,
-    by the same gain, and its winner is the element.  lambda and gain are
-    `fit`'s: the clamped minimizer of ||residual - lam*h||^2 and the exact
-    decrease it achieves, the one the loop accepts on.
+    Returns (element, its values at the nodes by `RepNet.eval_batch`,
+    lambda, gain).  The correlation search (`adversary.ascend` with
+    successive halving of its restarts) finds the element best correlated
+    with the residual; the polish climbs the clamped gain from it and
+    fresh starts, every restart to the end, ranks its candidates, the
+    correlation witness among them, by the same gain, and its winner is the
+    element.  lambda and gain are `fit`'s: the clamped minimizer of
+    ||residual - lam*h||^2 and the exact decrease it achieves, the one the
+    loop accepts on.
     """
     res = ascend(quad, spec, residual, budget, seed, threads=threads, prune=True)
     # polish: the correlation maximizer points along the residual but may fit
@@ -134,7 +135,7 @@ def stage_solve(quad: Quadrature, spec: DictSpec, residual, budget: Budget, seed
     polish_budget = replace(budget, restarts=max(8, budget.restarts // 4))
     element = best_gain_element(quad, spec, residual, polish_budget, seed + 1,
                                 threads=threads, warm_start=res.witness)
-    hv = net_values(quad, element)
+    hv = element.eval_batch(quad.nodes)
     lam, gain = fit(hv, quad.weights, residual, spec.domain.q)
     return element, hv, float(lam), float(gain)
 
@@ -203,7 +204,7 @@ def _assemble(quad: Quadrature, fvals, elements, lams, domain):
     """g, the elements composed with their coefficients (the zero net
     without any), and f - g's node values, squared L2 norm and L1 norm."""
     g = compose_parallel(elements, lams, domain) if elements else zero_net(domain)
-    diff = fvals - net_values(quad, g)
+    diff = fvals - g.eval_batch(quad.nodes)
     return g, diff, quad.integral(diff * diff), quad.integral(np.abs(diff))
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from clipreg.netcore import ClipregError, DomainSpec, RepNet, check_seed
+from clipreg.netcore import NODE_BLOCK, ClipregError, DomainSpec, RepNet, check_seed
 
 SCHEMES = ("tensor-grid", "low-discrepancy", "seeded-uniform")
 _TENSOR_GRID_MAX_DIM = 4
@@ -78,20 +78,10 @@ class Quadrature:
         return float(node_sum(self.weights * values))
 
 
-# every float64 node sum adds the nodes in blocks of this many (`node_blocks`)
-NODE_BLOCK = 2048
-
-
-def node_blocks(N: int) -> list:
-    """The slices of N nodes into the blocks of every node sum: NODE_BLOCK
-    nodes each from node 0 on, the last block the rest."""
-    return [slice(lo, min(lo + NODE_BLOCK, N)) for lo in range(0, N, NODE_BLOCK)]
-
-
 def block_total(parts):
-    """The node sum from its block partials: `parts` holds, in `node_blocks`'
-    order, np.add.reduce over each block's nodes, each (...,), and the total
-    is np.add.reduce over them.
+    """The node sum from its block partials: `parts` holds, in
+    `netcore.node_blocks`' order, np.add.reduce over each block's nodes,
+    each (...,), and the total is np.add.reduce over them.
 
     Every float64 node sum adds in this one order, whether its blocks are
     slices of one array (`node_sum`) or made one at a time (the adversary's

@@ -160,14 +160,71 @@ class RepNet:
         return self.depth <= cert.r and max(self.widths, default=1) <= cert.d
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at a batch of points, shape (N, n) -> (N,)."""
+        """Evaluate at a batch of points, shape (N, n) -> (N,), by
+        `_forward_blocks` as a stack of one net: the pass of every rescore,
+        so a net has the bits here of its row in any stack.  At a
+        quadrature's nodes X.T is `Quadrature.XT`, and no node is copied."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise NetError(f"expected points of shape (N, {self.n}), got {X.shape}")
-        A = X
-        for layer in self.layers:
-            A = np.clip(A @ layer.W.T + layer.b, -1.0, 1.0)
-        return A[:, 0]
+        out = np.empty(len(X))
+        for nodes, h in _forward_blocks(np.ascontiguousarray(X.T),
+                                        [layer.W[None] for layer in self.layers],
+                                        [layer.b[None] for layer in self.layers]):
+            out[nodes] = h[0]
+        return out
+
+
+# every float64 node sum and forward pass takes the nodes in blocks of this
+# many (`node_blocks`)
+NODE_BLOCK = 2048
+
+
+def node_blocks(N: int) -> list:
+    """The slices of N nodes into the blocks of every node sum and forward
+    pass: NODE_BLOCK nodes each from node 0 on, the last block the rest."""
+    return [slice(lo, min(lo + NODE_BLOCK, N)) for lo in range(0, N, NODE_BLOCK)]
+
+
+def _forward(XT, Ws, bs, Zs, As, masks=None):
+    """Forward pass of B stacked nets at the nodes XT, a contiguous (n, N)
+    matrix, for the search and the rescore alike; activations are unit-major.
+
+    Ws[l]: (B, out, in); bs[l]: (B, out), as `adversary._views` gives.
+    Writes layer l's pre-activation into Zs[l] and its clipped output into
+    As[l], both (B, out, N), and, when `masks` is given, the clip masks
+    Zs[l] == As[l] into masks[l] for `adversary._backward`.  Zs[l] may be
+    As[l] (an in-place clip) or a view of one scratch that every layer
+    overwrites.  Returns h = As[-1][:, 0], (B, N)."""
+    A = XT
+    for l, (W, b, Z, A_out) in enumerate(zip(Ws, bs, Zs, As)):
+        np.matmul(W, A, out=Z)
+        Z += b[:, :, None]
+        A = np.clip(Z, -1.0, 1.0, out=A_out)
+        if masks is not None:
+            # Z == A exactly where the clip is inactive, kinks included;
+            # the subgradient there is 1 (the interior value), 0 outside
+            np.equal(Z, A, out=masks[l])
+    return A[:, 0]
+
+
+def _forward_blocks(XT, Ws, bs):
+    """The float64 forward pass of a stack of parameter sets at the nodes
+    XT, a C-ordered (n, N) array, in the blocks of `node_blocks`: yields
+    (nodes, h) per block, the block's slice of the N nodes and h (E, block)
+    the outputs there, in scratch that the next block overwrites.
+
+    Each block runs on its column slice of XT, which BLAS reads in place,
+    so no node is copied.  Each layer clips in place and reads only the
+    layer before it, so two block-sized buffers take turns: even layers use
+    one, odd layers the other.
+    """
+    E, widths, N = len(bs[0]), [b.shape[1] for b in bs], XT.shape[1]
+    pair = [np.empty(E * max(widths[k::2], default=0) * min(N, NODE_BLOCK)) for k in (0, 1)]
+    for nodes in node_blocks(N):
+        cols = XT[:, nodes]
+        bufs = [pair[l % 2][:E * w * cols.shape[1]].reshape(E, w, -1) for l, w in enumerate(widths)]
+        yield nodes, _forward(cols, Ws, bs, bufs, bufs)
 
 
 def _identity_layer(width: int) -> Layer:

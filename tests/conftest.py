@@ -31,6 +31,17 @@ def clamped_step(hv, weights, values, q):
     return lam, 2.0 * lam * c - lam * lam * h2
 
 
+def node_major_values(net, X):
+    """A net's values at the points X (N, n) by a node-major loop, one
+    (N, d_in) @ (d_in, d_out) product per layer: an independent reference
+    for `RepNet.eval_batch`'s node-block pass, which sums in another order,
+    so the two agree to rounding, not bit for bit."""
+    A = X
+    for layer in net.layers:
+        A = np.clip(A @ layer.W.T + layer.b, -1.0, 1.0)
+    return A[:, 0]
+
+
 def const_oracle(value):
     return FunctionOracle(lambda X: np.full(len(X), float(value)), f"const({value})")
 

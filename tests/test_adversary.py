@@ -20,8 +20,6 @@ from clipreg.adversary import (
     _backward,
     _box,
     _buffers,
-    _forward,
-    _forward_blocks,
     _gain,
     _multistart,
     _objective_fit,
@@ -35,11 +33,9 @@ from clipreg.adversary import (
     correlation,
     fit,
     invisibility_audit,
-    net_values,
     sigma_dr,
 )
 from clipreg.measure import (
-    NODE_BLOCK,
     FunctionOracle,
     Quadrature,
     build_quadrature,
@@ -51,9 +47,10 @@ from clipreg.measure import (
     sigma_l1,
 )
 from clipreg.decomposer import decompose, stage_solve
-from clipreg.netcore import DomainSpec, Layer, NetError, RepCert, RepNet
+from clipreg.netcore import (NODE_BLOCK, DomainSpec, Layer, NetError, RepCert, RepNet, _forward,
+                             _forward_blocks)
 from clipreg.zoo import planted_net, zoo
-from conftest import clamped_step, const_oracle, reference_step
+from conftest import clamped_step, const_oracle, node_major_values, reference_step
 
 SMALL = Budget(restarts=16, iterations=150)
 
@@ -97,8 +94,8 @@ class TestNetValues:
         tail_quad = Quadrature(tail, np.full(len(tail), 1.0 / len(tail)), "tail", 0)
         for d, r in [(2, 1), (4, 2), (16, 1)]:
             net = planted_net(dom, d, r, seed=d + r)
-            assert np.array_equal(net_values(quad, net)[16000:], net_values(tail_quad, net)), \
-                (d, r)
+            assert np.array_equal(net.eval_batch(quad.nodes)[16000:],
+                                  net.eval_batch(tail_quad.nodes)), (d, r)
 
     @pytest.mark.parametrize("widths", [[2, 1], [2, 2, 1], [2, 4, 4, 1]], ids=str)
     def test_values_agree_with_eval_batch(self, dom2, widths):
@@ -106,8 +103,23 @@ class TestNetValues:
         quad = build_quadrature(dom2, "seeded-uniform", 2 * NODE_BLOCK + 77, seed=4)
         Ws, bs = random_stack(rng, widths, 1)
         net = RepNet(dom2, tuple(Layer(W[0], b[0]) for W, b in zip(Ws, bs)))
-        np.testing.assert_allclose(net_values(quad, net), net.eval_batch(quad.nodes),
+        np.testing.assert_allclose(net.eval_batch(quad.nodes), node_major_values(net, quad.nodes),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_values_are_a_row_of_a_stacked_pass(self, n):
+        # a net has the bits at the nodes of its row in a rescore of a stack
+        dom = DomainSpec(n, 1.0)
+        quad = build_quadrature(dom, "low-discrepancy", 2 * NODE_BLOCK + 77, seed=3)
+        for d, r in [(2, 1), (4, 2), (16, 1)]:
+            nets = [planted_net(dom, d, r, seed=s) for s in range(4)]
+            Ws, bs = ([np.stack([getattr(net.layers[l], k) for net in nets]) for l in range(r + 1)]
+                      for k in "Wb")
+            h = np.empty((len(nets), quad.size))
+            for nodes, hb in _forward_blocks(quad.XT, Ws, bs):
+                h[:, nodes] = hb
+            for net, row in zip(nets, h):
+                assert np.array_equal(net.eval_batch(quad.nodes), row), (d, r)
 
 
 class TestAscend:
@@ -777,7 +789,7 @@ class TestKernel:
         Ws, bs = random_stack(rng, widths, 5)
         dom = DomainSpec(widths[0], 1.0)
         nets = [RepNet(dom, tuple(Layer(W[e], b[e]) for W, b in zip(Ws, bs))) for e in range(5)]
-        ref = np.stack([net.eval_batch(X) for net in nets])
+        ref = np.stack([node_major_values(net, X) for net in nets])
         for nodes, h in _forward_blocks(np.ascontiguousarray(X.T), Ws, bs):
             np.testing.assert_allclose(h, ref[:, nodes], rtol=0, atol=1e-12)
 

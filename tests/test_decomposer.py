@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clipreg import decomposer
 from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
-                               best_gain_element, net_values)
+                               best_gain_element)
 from clipreg.decomposer import (
     _STAGE_SEED_STRIDE,
     DecomposeError,
@@ -21,7 +21,7 @@ from clipreg.decomposer import (
 from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
 from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict, zero_net
 from clipreg.zoo import planted_net, zoo
-from conftest import clamped_step, const_oracle
+from conftest import clamped_step, const_oracle, node_major_values
 
 FAST = Budget(restarts=16, iterations=120)
 EPS = 0.4
@@ -82,8 +82,9 @@ class TestStageSolve:
         f = zoo("sign-product", {}, dom2)
         element, values, _, _ = stage_solve(quad2, DictSpec(d, r, dom2), f.values(quad2),
                                             Budget(8, 30), seed=d)
-        assert np.array_equal(values, net_values(quad2, element))
-        np.testing.assert_allclose(values, element.eval_batch(quad2.nodes), rtol=0, atol=1e-12)
+        assert np.array_equal(values, element.eval_batch(quad2.nodes))
+        np.testing.assert_allclose(values, node_major_values(element, quad2.nodes),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_element_is_polish_winner(self, dom2, quad2, seed):

@@ -10,7 +10,6 @@ import pytest
 import clipreg
 from clipreg import measure
 from clipreg.measure import (
-    NODE_BLOCK,
     FunctionOracle,
     MeasureError,
     Quadrature,
@@ -18,12 +17,11 @@ from clipreg.measure import (
     build_quadrature,
     inner,
     l2_norm_sq,
-    node_blocks,
     node_sum,
     oracle_from_values,
     sigma_l1,
 )
-from clipreg.netcore import DomainSpec
+from clipreg.netcore import NODE_BLOCK, DomainSpec, node_blocks
 from conftest import const_oracle
 
 

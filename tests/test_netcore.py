@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipreg.netcore import (
+    NODE_BLOCK,
     DomainSpec,
     Layer,
     NetError,
@@ -124,6 +125,18 @@ class TestEvalNet:
         net = zero_net(dom2)
         with pytest.raises(NetError):
             net.eval_batch(np.array([[0.1, 0.2, 0.3]]))
+
+    @pytest.mark.parametrize("N", [0, 2 * NODE_BLOCK + 3])
+    def test_batch_of_any_size(self, N):
+        # an empty batch gives no values; a batch of more than one node
+        # block gives each point the value it has alone
+        rng = np.random.default_rng(N)
+        net = random_net(rng, DomainSpec(3, 1.0))
+        X = rng.uniform(-1, 1, (N, 3))
+        got = net.eval_batch(X)
+        assert got.shape == (N,)
+        np.testing.assert_allclose(got, [straight_line_eval(net, w) for w in X],
+                                   rtol=0, atol=1e-12)
 
     def test_range_bound(self):
         rng = np.random.default_rng(7)
