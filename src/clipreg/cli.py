@@ -58,6 +58,7 @@ def run_decompose(cfg: RunConfig, threads: int = 1):
 def cmd_decompose(args) -> int:
     cfg = load_config(args.config)
     quad, target, report = run_decompose(cfg, threads=args.threads)
+    # the run's config as parsed; `_verify` checks it against the config it is given
     _write_json(cfg.output.report, {**report.to_dict(), "config_echo": cfg.echo()})
     _write_trace_csv(cfg.output.trace, report)
     _write_json(cfg.output.witness, report.audit.to_dict())
@@ -111,8 +112,9 @@ def _malformed_report(path, what) -> int:
 
 def _verify(cfg: RunConfig, path, quad, target) -> int:
     """Print each `certify_split` check of the report file at `path` against
-    the run `cfg`, with a failed one's detail on stderr.  Returns 0 when all
-    passed, 1 when one failed, 2 when the file or a field that it reads is bad."""
+    the run `cfg`, and the config_echo check, with a failed one's detail on
+    stderr.  Returns 0 when all passed, 1 when one failed, 2 when the file or
+    a field that it reads is bad."""
     try:
         with open(path) as fh:
             report = json.load(fh)
@@ -124,16 +126,20 @@ def _verify(cfg: RunConfig, path, quad, target) -> int:
         return _malformed_report(path, "not a JSON object")
     try:
         REPORT_SHAPE(report, "")
-        verdict = certify_split(report, quad, target, cfg.epsilon, cfg.dict_spec)
+        verdict = certify_split(report, quad, target, cfg)
     except ConfigError as e:  # from REPORT_SHAPE
         return _malformed_report(path, f"field {e.field_name!r}: {e.detail}")
     except DecomposeError as e:  # a well-typed field out of range
         return _malformed_report(path, f"field {e.param!r}: {e}")
-    for item in verdict["details"]:
+    # typed by REPORT_SHAPE as a config, so a JSON true does not pass for 1
+    echo_ok = report["config_echo"] == cfg.echo()
+    details = verdict["details"] + [{"check": "config_echo", "ok": echo_ok,
+                                     "detail": "the report's config_echo is the config's"}]
+    for item in details:
         print(f"{item['check']}: {'ok' if item['ok'] else 'FAILED'}")
         if not item["ok"]:
             print(f"  {item['detail']}", file=sys.stderr)
-    return 0 if verdict["ok"] else 1
+    return 0 if all(item["ok"] for item in details) else 1
 
 
 def cmd_verify(args) -> int:

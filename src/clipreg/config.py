@@ -4,7 +4,7 @@ This module checks the JSON shape of a config: its keys and the JSON type of
 each value.  Every range is checked by the type or function that owns the
 value; ``owned`` turns that owner's rejection into a ConfigError naming the
 field.  ``REPORT_SHAPE`` checks the JSON shape of the report fields that
-``certify_split`` reads.
+``certify_split`` and ``clipreg verify`` read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 from clipreg.netcore import ClipregError, DomainSpec, check_seed
 from clipreg.adversary import Budget, DictSpec
-from clipreg.decomposer import m_budget_for
+from clipreg.decomposer import m_budget_for, stage_dictionary
 
 
 class ConfigError(ValueError):
@@ -87,13 +87,13 @@ def _numbers(obj, where):
 
 
 _OUTPUTS = ("report", "trace", "witness")
+_BUDGET = {"restarts": _INT, "iterations": _INT, "step0": _NUM, "decay": _NUM}
 _SHAPE = _object({
     "domain": _object({"n": _INT, "q": _NUM}),
     "dict": _object({"d": _INT, "r": _INT}),
     "epsilon": _NUM,
     "quadrature": _object({"scheme": _STR, "size": _INT, "seed": _INT}),
-    "solver": _object({"restarts": _INT, "iterations": _INT, "step0": _NUM,
-                       "decay": _NUM, "seed": _INT}),
+    "solver": _object({**_BUDGET, "seed": _INT}),
     "target": _object({"name": _STR, "params": _numbers}, {"params"}),
     "stage_dict": _STR,
     "output": _object(dict.fromkeys(_OUTPUTS, _STR), set(_OUTPUTS)),
@@ -103,7 +103,7 @@ _SHAPE = _object({
 _NET = _object({"n": _INT, "q": _NUM,
                 "layers": _list(_list(_object({"w": _list(_NUM), "b": _NUM})))})
 _CERT = _object({"d": _INT, "r": _INT})
-# the fields of a report that certify_split reads
+# the fields of a report that certify_split and the CLI's verify read
 REPORT_SHAPE = _object({
     "g": _NET,
     "residual_l2_sq": _NUM,
@@ -117,8 +117,12 @@ REPORT_SHAPE = _object({
         closed=False))}),
     "conservative_cert": _CERT,
     "constructive_cert": _CERT,
-    "audit": _object({"result": _object({"value": _NUM, "witness": _NET}, closed=False),
+    "audit": _object({"result": _object({"value": _NUM, "witness": _NET, "seed": _INT,
+                                         "budget": _object(_BUDGET)}, closed=False),
                       "invisible_up_to_budget": _BOOL, "note": _STR}, closed=False),
+    "schema_version": _INT,
+    "seed": _INT,
+    "config_echo": _SHAPE,
 }, closed=False)
 
 
@@ -172,15 +176,17 @@ class RunConfig:
 def parse_config(obj: dict) -> RunConfig:
     """Check the shape of a parsed config and build the objects it describes.
 
-    The quadrature, the target and the stage dictionary are checked by their
-    owners when the run builds them (``owned`` in the CLI).
+    The quadrature and the target are checked by their owners when the run
+    builds them (``owned`` in the CLI).
     """
     _SHAPE(obj, "")
     dom, dic, sv = obj["domain"], obj["dict"], obj["solver"]
     domain = owned("domain.", DomainSpec, dom["n"], float(dom["q"]))
     owned("", m_budget_for, obj["epsilon"])
+    dict_spec = owned("dict.", DictSpec, dic["d"], dic["r"], domain)
+    owned("", stage_dictionary, dict_spec, obj.get("stage_dict", "fixed"))
     return RunConfig(
-        dict_spec=owned("dict.", DictSpec, dic["d"], dic["r"], domain),
+        dict_spec=dict_spec,
         epsilon=float(obj["epsilon"]),
         quadrature=QuadratureSpec(**obj["quadrature"]),
         budget=owned("solver.", Budget, sv["restarts"], sv["iterations"],

@@ -336,10 +336,13 @@ def net_to_dict(net: RepNet) -> dict:
     }
 
 
-def net_from_dict(obj: dict) -> RepNet:
-    """Build a net from its dict; a value out of range raises a NetError
-    whose ``param`` names the key of ``obj`` at fault."""
-    domain = DomainSpec(n=int(obj["n"]), q=float(obj["q"]))
+def net_from_dict(obj: dict, domain: DomainSpec) -> RepNet:
+    """Build a net on `domain` from its dict; a stored n or q other than the
+    domain's, or a value out of range, raises a NetError whose ``param``
+    names the key of ``obj`` at fault."""
+    for key, want in (("n", domain.n), ("q", domain.q)):
+        if obj[key] != want:
+            raise NetError(f"net stored with {key}={obj[key]}, the run's {key} is {want}", key)
     try:
         layers = [Layer([u["w"] for u in units], [u["b"] for u in units])
                   for units in obj["layers"]]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipreg import decomposer
+from clipreg.config import QuadratureSpec, RunConfig, TargetSpec
 from clipreg.adversary import (AdversaryResult, Budget, DictSpec, ascend, audit_verdict,
                                best_gain_element)
 from clipreg.decomposer import (
@@ -19,7 +20,8 @@ from clipreg.decomposer import (
     stage_solve,
 )
 from clipreg.measure import FunctionOracle, MeasureError, build_quadrature, oracle_from_net
-from clipreg.netcore import DomainSpec, RepCert, net_from_dict, net_to_dict, zero_net
+from clipreg.netcore import (DomainSpec, RepCert, compose_parallel, net_from_dict, net_to_dict,
+                             pad_depth, zero_net)
 from clipreg.zoo import planted_net, zoo
 from conftest import clamped_step, const_oracle, node_major_values
 
@@ -38,10 +40,17 @@ def run_step():
     return dom, quad, f, report
 
 
-def _certify(report: dict, run_step):
-    """certify_split against run_step's own epsilon and dictionary."""
+def _run_config(dom, stage_dict="fixed"):
+    """run_step's config: its dictionary, epsilon, budget and solver seed."""
+    return RunConfig(DictSpec(2, 1, dom), EPS, QuadratureSpec("low-discrepancy", 4096, 3), FAST,
+                     42, TargetSpec("step", {"theta": 0.0}), stage_dict)
+
+
+def _certify(report: dict, run_step, stage_dict="fixed"):
+    """certify_split against run_step's own config, or that config with
+    another stage_dict."""
     dom, quad, f, _ = run_step
-    return certify_split(report, quad, f, EPS, DictSpec(2, 1, dom))
+    return certify_split(report, quad, f, _run_config(dom, stage_dict))
 
 
 class TestMBudget:
@@ -180,6 +189,18 @@ class TestDecompose:
             decompose(quad2, DictSpec(1, 0, dom2), const_oracle(0), 0.5,
                       Budget(2, 10), seed=1, stage_dict="shrinking")
 
+    def test_rejects_a_target_outside_the_unit_interval(self, run_step):
+        # 1.5 at a few nodes, with t0 still below 1; certify_split reads the
+        # target by the same check
+        dom, quad, _, report = run_step
+        f = FunctionOracle(lambda X: np.where(X[:, 0] > 0.995, 1.5, 0.5), "spike")
+        assert 0 < np.sum(f.values(quad) > 1) < 20 and quad.integral(f.values(quad) ** 2) < 1
+        for run in (lambda: decompose(quad, DictSpec(2, 1, dom), f, EPS, FAST, seed=42),
+                    lambda: certify_split(report.to_dict(), quad, f, _run_config(dom))):
+            with pytest.raises(DecomposeError) as exc:
+                run()
+            assert exc.value.param == "target"
+
     def test_non_finite_target_rejected(self, dom2, quad2):
         f = FunctionOracle(lambda X: np.where(X[:, 0] > 0.5, np.nan, 0.5), "nan")
         with pytest.raises(MeasureError):
@@ -278,14 +299,14 @@ class TestEnergyStop:
 
 class TestReportRoundTrip:
     def test_dict_round_trip(self, run_step):
-        _, quad, _, report = run_step
+        dom, quad, _, report = run_step
         clone = json.loads(json.dumps(report.to_dict()))
         assert clone["m_prime"] == report.m_prime
         assert clone["residual_l2_sq"] == report.residual_l2_sq
         trace = clone["trace"]
         assert [trace["t0"]] + [p["t_after"] for p in trace["picks"]] == report.trace.levels()
         gv = oracle_from_net(report.g).values(quad)
-        cv = oracle_from_net(net_from_dict(clone["g"])).values(quad)
+        cv = oracle_from_net(net_from_dict(clone["g"], dom)).values(quad)
         assert np.array_equal(gv, cv)
         verdict = _certify(clone, run_step)
         assert verdict["ok"], verdict["details"]
@@ -300,6 +321,20 @@ class TestReportRoundTrip:
         assert isinstance(report.audit, AdversaryResult)
         assert report.to_dict()["audit"] == {**audit_verdict(report.audit.value, EPS),
                                              "result": report.audit.to_dict()}
+
+
+@pytest.fixture(scope="module")
+def two_picks(dom2, quad2):
+    """A fixed and a growing run of two accepted picks each, by stage_dict:
+    (report, quad, target, the run's config)."""
+    runs = {}
+    for name, params, eps, stage_dict, budget in (SEARCH_STOP, ENERGY_STOPS["growing"]):
+        report = _run(dom2, quad2, (name, params, eps, stage_dict, budget))
+        assert report.m_prime == 2
+        cfg = RunConfig(DictSpec(2, 1, dom2), eps, QuadratureSpec("low-discrepancy", 2048, 3),
+                        budget, STOP_SEED, TargetSpec(name, params), stage_dict)
+        runs[stage_dict] = report, quad2, zoo(name, params, dom2), cfg
+    return runs
 
 
 def _check(verdict, name):
@@ -321,7 +356,7 @@ class TestCertifySplit:
         broken["trace"]["t0"] = 1.5
         verdict = _certify(broken, run_step)
         assert not verdict["ok"]
-        assert not _check(verdict, "trace_t0")["ok"]
+        assert not _check(verdict, "trace.t0")["ok"]
 
     def test_flags_g_not_built_from_picks(self, run_step):
         _, _, _, report = run_step
@@ -357,9 +392,15 @@ class TestCertifySplit:
         ("trace.t0", lambda t0: t0 * 0.9, "trace.t0"),
         # still dominated by the conservative certificate and satisfied by g
         ("constructive_cert", lambda c: {**c, "d": c["d"] + 1}, "constructive_cert"),
+        # the run's identity: its solver seed, the audit's seed and budget
+        ("seed", 0, "seed"),
+        ("audit.result.seed", 1, "audit.result.seed"),
+        ("audit.result.budget.iterations", 1, "audit.result.budget"),
+        ("schema_version", 7, "schema_version"),
     ], ids=["epsilon", "m-budget", "conservative-cert", "budget-exhausted", "residual-l1",
             "audit-flag", "audit-note", "audit-value-zero", "witness-bias-halved", "pick-k",
-            "t0", "constructive-cert"])
+            "t0", "constructive-cert", "seed", "audit-seed", "audit-budget",
+            "schema-version"])
     def test_flags_report_not_of_the_config(self, run_step, field, value, check):
         # `field` is a dotted path into the report, a number indexing a list;
         # a callable `value` maps the field's value to the tampered one
@@ -377,9 +418,43 @@ class TestCertifySplit:
         verdict = _certify(broken, run_step)
         assert not verdict["ok"]
         assert not _check(verdict, check)["ok"]
-        if check == "constructive_cert":
-            assert _check(verdict, "cert_dominance")["ok"]
-            assert _check(verdict, "cert_constructive")["ok"]
+
+    def test_rejects_a_stored_q_off_the_domain(self, run_step):
+        _, _, _, report = run_step
+        broken = report.to_dict()
+        broken["trace"]["picks"][0]["element"]["q"] = 5.0
+        with pytest.raises(DecomposeError) as exc:
+            _certify(broken, run_step)
+        assert exc.value.param == "trace.picks[0].element.q"
+
+    @pytest.mark.parametrize("stage_dict", ["fixed", "growing"])
+    def test_rejects_an_identity_padded_pick(self, two_picks, stage_dict):
+        # pick 1 with hidden widths (2, 1) in a (2|1) run computes the same
+        # values, and g and its certificate are recomposed to match
+        report, quad, f, cfg = two_picks[stage_dict]
+        picks = (replace(report.trace.picks[0],
+                         element=pad_depth(report.trace.picks[0].element, 1)),
+                 *report.trace.picks[1:])
+        g = compose_parallel([p.element for p in picks], [p.lam for p in picks], cfg.domain)
+        broken = replace(report, g=g, trace=replace(report.trace, picks=picks),
+                         constructive_cert=g.cert).to_dict()
+        assert certify_split(report.to_dict(), quad, f, cfg)["ok"]
+        with pytest.raises(DecomposeError) as exc:
+            certify_split(broken, quad, f, cfg)
+        assert exc.value.param == "trace.picks[0].element"
+
+    @pytest.mark.parametrize("stage_dict, swapped", [("fixed", "growing"), ("growing", "fixed")])
+    def test_rejects_picks_of_another_stage_dict(self, two_picks, stage_dict, swapped):
+        report, quad, f, cfg = two_picks[stage_dict]
+        with pytest.raises(DecomposeError) as exc:
+            certify_split(report.to_dict(), quad, f, replace(cfg, stage_dict=swapped))
+        assert exc.value.param == "trace.picks[1].element"
+
+    def test_rejects_an_unknown_stage_dict(self, run_step):
+        _, _, _, report = run_step
+        with pytest.raises(DecomposeError) as exc:
+            _certify(report.to_dict(), run_step, stage_dict="bogus")
+        assert exc.value.param == "stage_dict"
 
     def test_check_names_are_unique(self, run_step):
         _, _, _, report = run_step

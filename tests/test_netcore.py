@@ -280,7 +280,7 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         for _ in range(10):
             net = random_net(rng, DomainSpec(3, 1.0))
-            back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
+            back = net_from_dict(json.loads(json.dumps(net_to_dict(net))), net.domain)
             assert back.domain == net.domain
             assert len(back.layers) == len(net.layers)
             for a, b in zip(net.layers, back.layers):
@@ -290,7 +290,7 @@ class TestSerialization:
     def test_awkward_floats_survive(self, dom2):
         vals = [math.pi / 4, 1e-300, -0.1, 1.0 / 3.0]
         net = RepNet(dom2, (Layer(np.array([[vals[0], vals[1]]]), np.array([vals[2]])),))
-        back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
+        back = net_from_dict(json.loads(json.dumps(net_to_dict(net))), dom2)
         assert np.array_equal(back.layers[0].W, net.layers[0].W)
         assert np.array_equal(back.layers[0].b, net.layers[0].b)
 
@@ -298,8 +298,15 @@ class TestSerialization:
         obj = net_to_dict(zero_net(dom2))
         obj["layers"][0][0]["w"][1] = math.nan
         with pytest.raises(NetError) as err:
-            net_from_dict(obj)
+            net_from_dict(obj, dom2)
         assert err.value.param == "layers"
+
+    @pytest.mark.parametrize("key, value", [("n", 3), ("q", 2.0)])
+    def test_from_dict_names_a_stored_n_or_q_off_the_domain(self, dom2, key, value):
+        obj = {**net_to_dict(zero_net(dom2)), key: value}
+        with pytest.raises(NetError) as err:
+            net_from_dict(obj, dom2)
+        assert err.value.param == key
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from clipreg import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,6 +65,26 @@ def test_decompose_spans_per_stage(tmp_path, capsys):
         for span in by_name[name]:
             iters = span.attrs.get("entry_iters")
             assert isinstance(iters, int) and iters > 0, (name, span.attrs)
+
+
+@pytest.mark.parametrize("epsilon", [0.4, 1.0], ids=["picks", "no-picks"])
+def test_verify_fails_on_the_tampered_report(tmp_path, capsys, epsilon):
+    # run.tamper alters pick 1, or appends the audit witness as pick 1 to a
+    # report without picks; both stay in stage 1's dictionary, so verify
+    # must find a failed check (exit 1), not a malformed report (exit 2)
+    cfg = {**CONFIG, "epsilon": epsilon}
+    report_path = tmp_path / "report.json"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**cfg, "output": {
+        "report": str(report_path), "trace": str(tmp_path / "trace.csv"),
+        "witness": str(tmp_path / "witness.json")}}))
+    assert cli.main(["decompose", "--config", str(cfg_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert (report["m_prime"] > 0) == (epsilon < 1)
+    report_path.write_text(json.dumps(run.tamper(report, cfg)))
+    verify = ["verify", "--report", str(report_path), "--config", str(cfg_path)]
+    assert cli.main(verify) == 1
+    capsys.readouterr()
 
 
 def test_replay_imports_nothing_from_clipreg():

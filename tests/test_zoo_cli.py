@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import clipreg
+from clipreg import cli
 from clipreg.cli import main
 from clipreg.config import ConfigError, load_config, parse_config
-from clipreg.measure import build_quadrature, oracle_from_net
+from clipreg.measure import FunctionOracle, build_quadrature, oracle_from_net
 from clipreg.netcore import DomainSpec, RepCert
 from clipreg.zoo import ZOO, ZooError, planted_net, zoo
 
@@ -277,14 +278,18 @@ class TestCliDecompose:
 
 
 NET = {"n": 2, "q": 1.0, "layers": [[{"w": [0.0, 0.0], "b": 0.0}]]}
-# every field certify_split reads, each of the right JSON type
+# every field that verify reads, each of the right JSON type, and the echo of
+# base_config
 SHAPED_REPORT = {
-    "config_echo": {}, "g": NET, "residual_l2_sq": 0.0, "residual_l1": 0.0, "m_prime": 0,
-    "m_budget": 4, "budget_exhausted": False, "epsilon": 0.5,
+    "config_echo": parse_config(base_config()).echo(), "g": NET, "residual_l2_sq": 0.0,
+    "residual_l1": 0.0, "m_prime": 0, "m_budget": 4, "budget_exhausted": False,
+    "epsilon": 0.5, "schema_version": 1, "seed": 7,
     "trace": {"t0": 0.0, "picks": []},
     "conservative_cert": {"d": 2, "r": 1}, "constructive_cert": {"d": 1, "r": 0},
     "audit": {"invisible_up_to_budget": True, "note": "no witness found at this budget",
-              "result": {"value": 0.0, "witness": NET}},
+              "result": {"value": 0.0, "witness": NET, "seed": 104736,
+                         "budget": {"restarts": 8, "iterations": 60, "step0": 0.5,
+                                    "decay": 0.97}}},
 }
 
 
@@ -357,6 +362,30 @@ class TestCliVerify:
                      "--config", cfg_path]) == 1
         assert "trace.t0: FAILED" in capsys.readouterr().out
 
+    def test_verify_checks_the_config_echo(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        cfg_path = write_config(tmp_path, output={
+            "report": str(report_path),
+            "trace": str(tmp_path / "t.csv"),
+            "witness": str(tmp_path / "w.json"),
+        })
+        assert main(["decompose", "--config", cfg_path]) == 0
+        obj = json.loads(report_path.read_text())
+        obj["config_echo"]["epsilon"] = 0.4
+        report_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report_path),
+                     "--config", cfg_path]) == 1
+        assert "config_echo: FAILED" in capsys.readouterr().out
+
+    def test_verify_names_an_unknown_stage_dict(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(shaped())
+        assert main(["verify", "--report", str(report_path),
+                     "--config", write_config(tmp_path, stage_dict="bogus")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'stage_dict'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text, named", [
         ("{}", "'g'"),
         ('{"config_echo": {}}', "'g'"),
@@ -379,6 +408,9 @@ class TestCliVerify:
         (shaped(audit={**SHAPED_REPORT["audit"], "invisible_up_to_budget": 0}),
          "'audit.invisible_up_to_budget'"),
         (shaped(audit={**SHAPED_REPORT["audit"], "note": None}), "'audit.note'"),
+        (shaped(seed=True), "'seed'"),
+        (shaped(config_echo={**SHAPED_REPORT["config_echo"], "epsilon": True}),
+         "'config_echo.epsilon'"),
         (shaped(g={**NET, "n": 3}), "'g.n'"),
         (shaped(constructive_cert={"d": 0, "r": 0}), "'constructive_cert.d'"),
         (shaped(g={**NET, "layers": [[{"w": [5.0, 0.0], "b": 0.0}]]}), "'g.layers'"),
@@ -393,7 +425,7 @@ class TestCliVerify:
         (shaped(), "'audit.result.witness'"),
     ], ids=["empty", "no-g", "bad-json", "list", "g-list", "layers-string", "unit-w-string",
             "m-prime-bool", "exhausted-int", "epsilon-nan", "picks-object", "gain-string", "lambda-string", "cert-no-r", "audit-value-null",
-            "l1-string", "invisible-int", "note-null",
+            "l1-string", "invisible-int", "note-null", "seed-bool", "echo-epsilon-bool",
             "g-n-mismatch", "cert-d-zero", "weight-outside-q", "ragged-w-rows",
             "g-q-mismatch", "element-weight-outside-q", "witness-not-of-the-dictionary"])
     def test_malformed_report_exit_code(self, tmp_path, capsys, text, named):
@@ -404,6 +436,16 @@ class TestCliVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
+
+
+def test_decompose_names_a_target_outside_the_unit_interval(tmp_path, monkeypatch, capsys):
+    # no zoo target leaves [-1, 1]; this one is 1.5 at a few nodes
+    monkeypatch.chdir(tmp_path)
+    spike = FunctionOracle(lambda X: np.where(X[:, 0] > 0.995, 1.5, 0.5), "spike")
+    monkeypatch.setattr(cli, "zoo", lambda name, params, domain: spike)
+    assert main(["decompose", "--config", write_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'target'" in err and "Traceback" not in err
 
 
 class TestCliSweep:
